@@ -12,9 +12,12 @@
 // report the wall-clock cost of simulating it per backend.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "apps/scenarios.hpp"
 #include "apps/workloads.hpp"
@@ -22,6 +25,23 @@
 #include "core/table.hpp"
 #include "mptcp/connection.hpp"
 #include "sched/native.hpp"
+
+// Heap allocations of this binary, counted by the replacement global
+// operator new below (the allocs/exec column). Not inlined, so the compiler
+// never pairs a `new` expression with the free() inside.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace progmp::bench {
 namespace {
@@ -68,23 +88,37 @@ std::unique_ptr<mptcp::Scheduler> make_scheduler(const std::string& kind) {
   return load_builtin("minrtt", rt::Backend::kEbpf);
 }
 
-double measure_exec_ns(const std::string& kind, int subflows) {
+/// Cost of one execution in the blocked environment.
+struct ExecCost {
+  double ns = 0;          ///< wall time per execution (min of 3 runs)
+  std::int64_t insns = 0;  ///< instructions/steps retired (0 for native)
+  double allocs = 0;      ///< heap allocations per execution
+};
+
+ExecCost measure_exec(const std::string& kind, int subflows) {
   auto scheduler = make_scheduler(kind);
   BlockedEnv env(subflows);
   auto ctx = env.ctx();
-  // Warm up (also populates the eBPF specialization cache).
+  // Warm up (also populates the eBPF specialization cache and every reused
+  // scratch buffer, so the allocation count below is the steady state).
   for (int i = 0; i < 1000; ++i) scheduler->schedule(ctx);
+  ExecCost cost;
+  cost.insns = ctx.exec_insns();
   constexpr int kIterations = 120'000;
   double best = 1e18;
   for (int repeat = 0; repeat < 3; ++repeat) {  // min-of-3: noise robust
+    const std::uint64_t allocs_before = g_heap_allocs.load();
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kIterations; ++i) scheduler->schedule(ctx);
     const auto end = std::chrono::steady_clock::now();
+    cost.allocs = static_cast<double>(g_heap_allocs.load() - allocs_before) /
+                  kIterations;
     best = std::min(
         best, std::chrono::duration<double, std::nano>(end - start).count() /
                   kIterations);
   }
-  return best;
+  cost.ns = best;
+  return cost;
 }
 
 void BM_SchedulerExecution(benchmark::State& state,
@@ -126,24 +160,35 @@ int main(int argc, char** argv) {
   const std::vector<std::string> kinds = {"native", "ebpf", "compiled",
                                           "interpreter"};
   Table table({"backend", "2 subflows (ns)", "3 subflows (ns)",
-               "4 subflows (ns)", "relative @2sbf"});
+               "4 subflows (ns)", "relative @2sbf", "insns/exec @2sbf",
+               "ns/insn @2sbf", "allocs/exec @2sbf"});
   double native2 = 1.0;
   double ebpf2 = 0.0;
   double compiled2 = 0.0;
   double interp2 = 0.0;
   for (const std::string& kind : kinds) {
-    const double t2 = measure_exec_ns(kind, 2);
-    const double t3 = measure_exec_ns(kind, 3);
-    const double t4 = measure_exec_ns(kind, 4);
+    const ExecCost c2 = measure_exec(kind, 2);
+    const double t2 = c2.ns;
+    const double t3 = measure_exec(kind, 3).ns;
+    const double t4 = measure_exec(kind, 4).ns;
     if (kind == "native") native2 = t2;
     if (kind == "ebpf") ebpf2 = t2;
     if (kind == "compiled") compiled2 = t2;
     if (kind == "interpreter") interp2 = t2;
-    table.add_row({kind, Table::num(t2, 1), Table::num(t3, 1),
-                   Table::num(t4, 1),
-                   Table::num(t2 / native2 * 100, 0) + " %"});
+    // The native scheduler retires no counted instructions.
+    const bool counted = c2.insns > 0;
+    table.add_row(
+        {kind, Table::num(t2, 1), Table::num(t3, 1), Table::num(t4, 1),
+         Table::num(t2 / native2 * 100, 0) + " %",
+         counted ? std::to_string(c2.insns) : "-",
+         counted ? Table::num(t2 / static_cast<double>(c2.insns), 2) : "-",
+         Table::num(c2.allocs, 2)});
   }
   std::printf("%s", table.str().c_str());
+  std::printf(
+      "  insns/exec counts nodes visited (interpreter), IR steps (compiled) "
+      "or bytecode\n  instructions (eBPF), so ns/insn compares dispatch "
+      "cost only within a backend.\n");
   std::printf(
       "  paper: interpreter ~144%%, eBPF ~125%% of native. The paper's eBPF "
       "numbers come\n  from kernel-JITted *native* code; our eBPF executes "

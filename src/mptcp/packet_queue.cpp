@@ -107,13 +107,17 @@ void PacketQueue::grow() {
   }
 }
 
-void PacketQueue::push_back(const SkbPtr& skb) {
+void PacketQueue::claim(const SkbPtr& skb) {
   PROGMP_CHECK(skb != nullptr);
   if (tracked()) {
     bool Skb::* flag = member_flag();
     PROGMP_CHECK_MSG(!(skb.get()->*flag), "skb already in this queue");
     skb.get()->*flag = true;
   }
+}
+
+void PacketQueue::push_back(const SkbPtr& skb) {
+  claim(skb);
   if (size_ == ring_.size()) grow();
   const std::size_t slot = slot_of(size_);
   place(slot, skb);
@@ -122,17 +126,29 @@ void PacketQueue::push_back(const SkbPtr& skb) {
 }
 
 void PacketQueue::push_front(const SkbPtr& skb) {
-  PROGMP_CHECK(skb != nullptr);
-  if (tracked()) {
-    bool Skb::* flag = member_flag();
-    PROGMP_CHECK_MSG(!(skb.get()->*flag), "skb already in this queue");
-    skb.get()->*flag = true;
-  }
+  claim(skb);
   if (size_ == ring_.size()) grow();
   head_ = (head_ + mask_) & mask_;  // head_ - 1 mod capacity
   place(head_, skb);
   ++size_;
   add_aggregates(ring_[head_]);
+}
+
+void PacketQueue::insert_at(std::size_t index, const SkbPtr& skb) {
+  PROGMP_CHECK(index <= size_);
+  if (index == 0) {
+    push_front(skb);
+    return;
+  }
+  claim(skb);
+  if (size_ == ring_.size()) grow();
+  for (std::size_t j = size_; j > index; --j) {
+    move_entry(slot_of(j - 1), slot_of(j));
+  }
+  const std::size_t slot = slot_of(index);
+  place(slot, skb);
+  ++size_;
+  add_aggregates(ring_[slot]);
 }
 
 SkbPtr PacketQueue::pop_front() {
@@ -197,18 +213,20 @@ bool PacketQueue::erase(const Skb* skb) {
   return false;
 }
 
-bool PacketQueue::contains(const Skb* skb) const {
-  if (skb == nullptr || size_ == 0) return false;
+std::int64_t PacketQueue::index_of(const Skb* skb) const {
+  if (skb == nullptr || size_ == 0) return -1;
   if (tracked()) {
-    if (!(skb->*member_flag())) return false;
+    if (!(skb->*member_flag())) return -1;
     const std::size_t slot = skb->queue_pos[static_cast<std::size_t>(index_)];
     const std::size_t logical = (slot - head_) & mask_;
-    return logical < size_ && ring_[slot].skb.get() == skb;
+    return logical < size_ && ring_[slot].skb.get() == skb
+               ? static_cast<std::int64_t>(logical)
+               : -1;
   }
   for (std::size_t i = 0; i < size_; ++i) {
-    if (ring_[slot_of(i)].skb.get() == skb) return true;
+    if (ring_[slot_of(i)].skb.get() == skb) return static_cast<std::int64_t>(i);
   }
-  return false;
+  return -1;
 }
 
 void PacketQueue::clear() {

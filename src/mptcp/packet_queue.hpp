@@ -84,8 +84,12 @@ class PacketQueue {
   /// Appends `skb`. Tracked mode stamps the membership flag + ring slot (the
   /// skb must not already be a member of this queue).
   void push_back(const SkbPtr& skb);
-  /// Prepends `skb` (rollback restore, window-blocked hand-back).
+  /// Prepends `skb` (window-blocked hand-back).
   void push_front(const SkbPtr& skb);
+  /// Inserts `skb` so that it ends up at logical `index` (<= size()); the
+  /// entries from `index` on move back by one. Restores a packet to the
+  /// exact position a POP or DROP took it from (scheduler rollback).
+  void insert_at(std::size_t index, const SkbPtr& skb);
   /// Removes and returns the front packet; nullptr when empty. Tracked mode
   /// clears the membership flag.
   SkbPtr pop_front();
@@ -96,8 +100,18 @@ class PacketQueue {
   /// Removes the entry owning `skb`. O(1) in tracked mode (intrusive index),
   /// linear in untracked mode. Returns false when not a member.
   bool erase(const Skb* skb);
-  /// Membership test: O(1) (flag) in tracked mode, linear otherwise.
-  [[nodiscard]] bool contains(const Skb* skb) const;
+  /// Logical index of `skb`, -1 when not a member. O(1) in tracked mode
+  /// (intrusive index), linear in untracked mode.
+  [[nodiscard]] std::int64_t index_of(const Skb* skb) const;
+  /// Membership test, as index_of().
+  [[nodiscard]] bool contains(const Skb* skb) const {
+    return index_of(skb) >= 0;
+  }
+  /// The owning reference held for `skb`, or nullptr when not a member.
+  [[nodiscard]] const SkbPtr* find(const Skb* skb) const {
+    const std::int64_t i = index_of(skb);
+    return i < 0 ? nullptr : &at(static_cast<std::size_t>(i)).skb;
+  }
   /// Drops all entries (clearing membership flags in tracked mode).
   void clear();
 
@@ -161,6 +175,8 @@ class PacketQueue {
   [[nodiscard]] bool tracked() const { return index_ >= 0; }
   [[nodiscard]] bool Skb::* member_flag() const;
 
+  /// Tracked mode: sets `skb`'s membership flag, which must be clear.
+  void claim(const SkbPtr& skb);
   /// Fills ring_[slot] from `skb` and stamps the intrusive index (tracked).
   void place(std::size_t slot, const SkbPtr& skb);
   /// Moves the entry in `from` to `to`, restamping the intrusive index.
@@ -216,6 +232,14 @@ struct QueueBundle {
     q.erase(skb);
     qu.erase(skb);
     rq.erase(skb);
+  }
+
+  /// The owning reference some queue holds for `skb`; nullptr when the
+  /// packet is in none of them.
+  [[nodiscard]] const SkbPtr* find(const Skb* skb) const {
+    if (const SkbPtr* p = q.find(skb)) return p;
+    if (const SkbPtr* p = qu.find(skb)) return p;
+    return rq.find(skb);
   }
 
   /// Re-syncs the cached sent-on summary in every queue holding `skb`.

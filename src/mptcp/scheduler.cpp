@@ -29,7 +29,9 @@ SkbPtr SchedulerContext::pop_at(QueueId id, std::size_t index) {
   SkbPtr skb = queues_->get(id).pop_at(index);
   if (skb == nullptr) return nullptr;
   popped_ = true;
-  pop_log_.push_back({id, skb});
+  UndoRecord& undo =
+      undo_log_.emplace_back(UndoRecord{skb, false, {-1, -1, -1}});
+  undo.pos[static_cast<std::size_t>(id)] = static_cast<std::int64_t>(index);
   ++stats_->pops;
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kPop, now_, -1, static_cast<std::int32_t>(id),
@@ -65,33 +67,50 @@ void SchedulerContext::drop(const SkbPtr& skb) {
   if (skb == nullptr || skb->acked || skb->dropped) {
     return;
   }
-  drop_log_.push_back({skb, skb->in_q, skb->in_qu, skb->in_rq});
-  skb->dropped = true;
-  queues_->detach(skb.get());
+  // `skb` may be the reference a queue holds (see owner()); detaching
+  // destroys it, so only the log's copy is used from here on.
+  UndoRecord& undo = undo_log_.emplace_back(UndoRecord{skb, true, {}});
+  Skb* const dropped = undo.skb.get();
+  for (QueueId id : {QueueId::kQ, QueueId::kQu, QueueId::kRq}) {
+    undo.pos[static_cast<std::size_t>(id)] =
+        queues_->get(id).index_of(dropped);
+  }
+  dropped->dropped = true;
+  queues_->detach(dropped);
   dropped_ = true;
   ++stats_->drops;
   if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kDrop, now_, -1, 0, skb->size,
-                 static_cast<std::int64_t>(skb->meta_seq));
+    trace_->emit(TraceEventType::kDrop, now_, -1, 0, dropped->size,
+                 static_cast<std::int64_t>(dropped->meta_seq));
   }
 }
 
+const SkbPtr& SchedulerContext::owner(const Skb* skb) const {
+  static const SkbPtr kNull;
+  if (skb == nullptr) return kNull;
+  if (const SkbPtr* queued = queues_->find(skb)) return *queued;
+  for (const UndoRecord& r : undo_log_) {
+    if (r.skb.get() == skb) return r.skb;
+  }
+  return kNull;
+}
+
 void SchedulerContext::rollback() {
-  // Newest effect first, so interleaved pop/drop sequences unwind cleanly
-  // (a packet popped and then dropped regains both its membership sets).
-  for (auto it = drop_log_.rbegin(); it != drop_log_.rend(); ++it) {
-    it->skb->dropped = false;
-    // push_front restores the membership flag (tracked queue semantics).
-    if (it->was_in_q && !it->skb->in_q) queues_->q.push_front(it->skb);
-    if (it->was_in_qu && !it->skb->in_qu) queues_->qu.push_front(it->skb);
-    if (it->was_in_rq && !it->skb->in_rq) queues_->rq.push_front(it->skb);
+  // Newest effect first: each record's positions describe the queues as
+  // they were just before that action, so unwinding in reverse restores
+  // them exactly (a packet popped and then dropped regains both its
+  // membership sets).
+  for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
+    if (it->drop) it->skb->dropped = false;
+    for (QueueId id : {QueueId::kQ, QueueId::kQu, QueueId::kRq}) {
+      const std::int64_t pos = it->pos[static_cast<std::size_t>(id)];
+      // insert_at restores the membership flag (tracked queue semantics).
+      if (pos >= 0) {
+        queues_->get(id).insert_at(static_cast<std::size_t>(pos), it->skb);
+      }
+    }
   }
-  for (auto it = pop_log_.rbegin(); it != pop_log_.rend(); ++it) {
-    if (it->skb->acked || it->skb->dropped) continue;
-    queues_->get(it->id).push_front(it->skb);
-  }
-  drop_log_.clear();
-  pop_log_.clear();
+  undo_log_.clear();
   actions_.clear();
   dropped_ = false;
   popped_ = false;
@@ -161,7 +180,7 @@ void run_default_minrtt(SchedulerContext& ctx) {
   // below the transmitted right edge and are exempt). Without this gate a
   // push of beyond-window data just bounces off the subflow's transmit
   // gate and back into Q, spinning the engine's push-until-blocked loop.
-  if (!ctx.has_window_for(ctx.queue(QueueId::kQ).front())) return;
+  if (!ctx.has_window_for(ctx.queue(QueueId::kQ).front().get())) return;
 
   const int slot = min_rtt_slot(ctx, [&](const SubflowInfo& s) {
     return minrtt_available(s) && backup_ok(s);

@@ -7,6 +7,7 @@
 // (Fig 9) measure exactly the runtime difference.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -191,7 +192,7 @@ class SchedulerContext {
         trace_(trace) {}
 
   /// Re-arms a long-lived context for the next execution: fresh trigger
-  /// snapshot, cleared action/undo logs. The engine keeps one context per
+  /// snapshot, cleared action and undo logs. The engine keeps one context per
   /// connection so the per-execution log capacity is reused instead of
   /// reallocated on every trigger.
   void reset(TimeNs now, Trigger trigger,
@@ -203,8 +204,7 @@ class SchedulerContext {
     rwnd_free_bytes_ = rwnd_free_bytes;
     below_edge_bytes_ = below_edge_bytes;
     actions_.clear();
-    pop_log_.clear();
-    drop_log_.clear();
+    undo_log_.clear();
     dropped_ = false;
     popped_ = false;
     faulted_ = false;
@@ -241,6 +241,15 @@ class SchedulerContext {
 
   /// Removes the packet from all queues without transmitting it.
   void drop(const SkbPtr& skb);
+
+  /// The owning reference for a packet the current execution reached
+  /// through a queue (nullptr for nullptr or an unknown packet). Such a
+  /// packet is either still queued — found in O(1) through its intrusive
+  /// queue slot — or it left its queue during this execution through POP
+  /// or DROP, whose undo log holds it. Lets execution environments carry
+  /// borrowed `const Skb*` handles and touch the refcount only when an
+  /// action needs ownership.
+  [[nodiscard]] const SkbPtr& owner(const Skb* skb) const;
 
   [[nodiscard]] const std::vector<PushAction>& actions() const {
     return actions_;
@@ -279,7 +288,7 @@ class SchedulerContext {
   /// transmit gate) — a fallback harvest returns such packets to Q, and the
   /// fresh-data budget must not wedge them. The engine only arms the
   /// exemption (below_edge_bytes > 0) with the fallback machinery enabled.
-  [[nodiscard]] bool has_window_for(const SkbPtr& skb) const {
+  [[nodiscard]] bool has_window_for(const Skb* skb) const {
     if (skb == nullptr) return false;
     if (skb->byte_offset + static_cast<std::uint64_t>(skb->size) <=
         below_edge_bytes_) {
@@ -312,10 +321,11 @@ class SchedulerContext {
   [[nodiscard]] bool faulted() const { return faulted_; }
   [[nodiscard]] FaultKind fault_kind() const { return fault_kind_; }
 
-  /// Undoes every visible side effect of this execution: popped packets
-  /// return to the front of their queues (flags restored), dropped packets
-  /// are un-dropped and re-attached, and the deferred PUSH actions are
-  /// discarded. Afterwards the context is clean for a fallback run.
+  /// Undoes every visible side effect of this execution, newest first:
+  /// popped and dropped packets return to the exact queue positions they
+  /// left (flags restored), dropped packets are un-dropped, and the
+  /// deferred PUSH actions are discarded. Afterwards the context is clean
+  /// for a fallback run.
   void rollback();
 
  private:
@@ -340,17 +350,15 @@ class SchedulerContext {
   bool faulted_ = false;
   FaultKind fault_kind_ = FaultKind::kNone;
 
-  /// Undo logs for rollback(), in action order.
-  struct PopRecord {
-    QueueId id;
+  /// Undo log for rollback(), in action order: every POP and DROP of this
+  /// execution with the logical position the packet held in Q, QU and RQ
+  /// (indexed by QueueId) just before it; -1 where it left no queue.
+  struct UndoRecord {
     SkbPtr skb;
+    bool drop;
+    std::array<std::int64_t, 3> pos;
   };
-  struct DropRecord {
-    SkbPtr skb;
-    bool was_in_q, was_in_qu, was_in_rq;
-  };
-  std::vector<PopRecord> pop_log_;
-  std::vector<DropRecord> drop_log_;
+  std::vector<UndoRecord> undo_log_;
 };
 
 /// The built-in default scheduler (MinRTT with backup semantics), callable on

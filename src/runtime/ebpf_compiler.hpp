@@ -14,8 +14,20 @@
 //  * an evicted value gets a *second chance*: at its next use it is
 //    reloaded and may occupy a register again for the rest of its lifetime,
 //  * control-flow joins are handled by making the stack slot the canonical
-//    home across basic-block boundaries (all dirty bindings are written
-//    back at labels and branches), so no resolution moves are needed.
+//    home across basic-block boundaries (dirty bindings are written back at
+//    labels and branches), so no resolution moves are needed,
+//  * stores follow value lifetimes: IR liveness is computed once per
+//    compile, and a dirty binding is written back — at a block boundary or
+//    on eviction — only if its value can still be read; a dead value is
+//    dropped without touching the stack. A conditional branch stores only
+//    what its target reads and keeps the register file for the
+//    fall-through path.
+//
+// Code selection on top of the allocator: constants are rematerialized
+// rather than spilled, NOT/AND/OR/comparison trees that only feed a branch
+// become short-circuit jump chains (never 0/1 values), `t = x op y; x = t`
+// updates x in place, and a copy read only in the straight run after it
+// reads its source directly.
 //
 // r0 serves as the scratch/result register and r1..r5 carry helper
 // arguments, exactly like the kernel ABI.

@@ -71,7 +71,16 @@ std::int64_t Vm::dispatch_helper(Helper helper, SchedulerEnv& env) {
 // PROGMP_VM_OP macro so they cannot drift apart.
 Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
                       std::int64_t budget) {
-  RunResult result;
+  // The instruction count lives in a local (not in the returned struct) so
+  // it can stay in a machine register across the dispatch loop.
+  std::int64_t executed = 0;
+  auto fault = [&executed](mptcp::FaultKind kind, const char* error) {
+    RunResult result;
+    result.fault = kind;
+    result.error = error;
+    result.insns_executed = executed;
+    return result;
+  };
   regs_.fill(0);
   helper_fault_ = false;
   // The stack is zeroed once per VM, not per run: the cross-compiler
@@ -93,19 +102,17 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
     return stack_.data() + idx;
   };
 
-#define PROGMP_VM_FETCH()                                \
-  do {                                                   \
-    if (pc >= size) {                                    \
-      result.fault = mptcp::FaultKind::kPcViolation;     \
-      result.error = "program counter out of bounds";    \
-      return result;                                     \
-    }                                                    \
-    if (++result.insns_executed > budget) {              \
-      result.fault = mptcp::FaultKind::kBudgetExhausted; \
-      result.error = "instruction budget exhausted";     \
-      --result.insns_executed;                           \
-      return result;                                     \
-    }                                                    \
+#define PROGMP_VM_FETCH()                                             \
+  do {                                                                \
+    if (pc >= size) {                                                 \
+      return fault(mptcp::FaultKind::kPcViolation,                    \
+                   "program counter out of bounds");                  \
+    }                                                                 \
+    if (executed >= budget) {                                         \
+      return fault(mptcp::FaultKind::kBudgetExhausted,                \
+                   "instruction budget exhausted");                   \
+    }                                                                 \
+    ++executed;                                                       \
   } while (0)
 
 #define PROGMP_VM_JUMP_IF(cond)                                            \
@@ -186,15 +193,16 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
   PROGMP_VM_BODY({
     regs_[0] = dispatch_helper(static_cast<Helper>(insn.imm), env);
     if (helper_fault_) {
-      result.fault = mptcp::FaultKind::kHelperViolation;
-      result.error = "helper argument out of bounds";
-      return result;
+      return fault(mptcp::FaultKind::kHelperViolation,
+                   "helper argument out of bounds");
     }
     regs_[1] = regs_[2] = regs_[3] = regs_[4] = regs_[5] = kPoison;
     ++pc;
   })
   PROGMP_VM_CASE(Exit) {
+    RunResult result;
     result.ok = true;
+    result.insns_executed = executed;
     return result;
   }
   PROGMP_VM_CASE(LdxDw)
@@ -202,9 +210,8 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
     bool ok = false;
     std::uint8_t* slot = stack_slot(insn.off, &ok);
     if (!ok) {
-      result.fault = mptcp::FaultKind::kStackViolation;
-      result.error = "stack load out of bounds";
-      return result;
+      return fault(mptcp::FaultKind::kStackViolation,
+                   "stack load out of bounds");
     }
     std::memcpy(&dst, slot, 8);
     ++pc;
@@ -214,9 +221,8 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
     bool ok = false;
     std::uint8_t* slot = stack_slot(insn.off, &ok);
     if (!ok) {
-      result.fault = mptcp::FaultKind::kStackViolation;
-      result.error = "stack store out of bounds";
-      return result;
+      return fault(mptcp::FaultKind::kStackViolation,
+                   "stack store out of bounds");
     }
     std::memcpy(slot, &src, 8);
     ++pc;
@@ -265,23 +271,24 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
       case Op::kCall:
         regs_[0] = dispatch_helper(static_cast<Helper>(insn.imm), env);
         if (helper_fault_) {
-          result.fault = mptcp::FaultKind::kHelperViolation;
-          result.error = "helper argument out of bounds";
-          return result;
+          return fault(mptcp::FaultKind::kHelperViolation,
+                       "helper argument out of bounds");
         }
         regs_[1] = regs_[2] = regs_[3] = regs_[4] = regs_[5] = kPoison;
         ++pc;
         break;
-      case Op::kExit:
+      case Op::kExit: {
+        RunResult result;
         result.ok = true;
+        result.insns_executed = executed;
         return result;
+      }
       case Op::kLdxDw: {
         bool ok = false;
         std::uint8_t* slot = stack_slot(insn.off, &ok);
         if (!ok) {
-          result.fault = mptcp::FaultKind::kStackViolation;
-          result.error = "stack load out of bounds";
-          return result;
+          return fault(mptcp::FaultKind::kStackViolation,
+                       "stack load out of bounds");
         }
         std::memcpy(&dst, slot, 8);
         ++pc;
@@ -291,9 +298,8 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
         bool ok = false;
         std::uint8_t* slot = stack_slot(insn.off, &ok);
         if (!ok) {
-          result.fault = mptcp::FaultKind::kStackViolation;
-          result.error = "stack store out of bounds";
-          return result;
+          return fault(mptcp::FaultKind::kStackViolation,
+                       "stack store out of bounds");
         }
         std::memcpy(slot, &src, 8);
         ++pc;

@@ -58,16 +58,17 @@ std::int64_t SchedulerEnv::sbf_prop(std::int64_t idx,
 PktHandle SchedulerEnv::queue_nth(mptcp::QueueId id, std::int64_t idx) {
   const auto& queue = ctx_.queue(id);
   if (idx < 0 || idx >= static_cast<std::int64_t>(queue.size())) return 0;
-  return pin(queue.skb_at(static_cast<std::size_t>(idx)));
+  return pin(queue.skb_at(static_cast<std::size_t>(idx)).get());
 }
 
 PktHandle SchedulerEnv::pop_front(mptcp::QueueId id) {
-  return pin(ctx_.pop(id));
+  // The context's undo log keeps the packet alive for the execution.
+  return pin(ctx_.pop(id).get());
 }
 
 std::int64_t SchedulerEnv::pkt_prop(PktHandle h, lang::PktProp prop,
                                     std::int64_t arg_idx) const {
-  const mptcp::SkbPtr& skb = unpin(h);
+  const mptcp::Skb* skb = unpin(h);
   if (skb == nullptr) return 0;  // NULL packet: null-safe read
   switch (prop) {
     case lang::PktProp::kSize:
@@ -94,15 +95,15 @@ std::int64_t SchedulerEnv::pkt_prop(PktHandle h, lang::PktProp prop,
 }
 
 void SchedulerEnv::push(std::int64_t sbf_idx, PktHandle h) {
-  const mptcp::SkbPtr& skb = unpin(h);
+  const mptcp::Skb* skb = unpin(h);
   if (sbf_idx < 0 || sbf_idx >= sbf_count() || skb == nullptr) {
     // Graceful no-op, counted by the context.
     ctx_.push(-1, nullptr);
     return;
   }
-  ctx_.push(slots_[static_cast<std::size_t>(sbf_idx)], skb);
+  ctx_.push(slots_[static_cast<std::size_t>(sbf_idx)], ctx_.owner(skb));
 }
 
-void SchedulerEnv::drop(PktHandle h) { ctx_.drop(unpin(h)); }
+void SchedulerEnv::drop(PktHandle h) { ctx_.drop(ctx_.owner(unpin(h))); }
 
 }  // namespace progmp::rt

@@ -9,6 +9,13 @@
 // property reads are null-safe — a property of a NULL packet/subflow reads
 // as 0/false. Stale references are impossible: handles live only for one
 // execution.
+//
+// The handle table pins *borrowed* `const Skb*`, not owning pointers. A
+// pinned packet was reached through Q/QU/RQ, and during one execution it
+// can leave its queue only through POP or DROP, whose undo log in the
+// SchedulerContext keeps it alive; so every pinned pointer stays valid for
+// the whole execution without a refcount. The owning SkbPtr is looked up
+// (SchedulerContext::owner) only where an action needs it: PUSH and DROP.
 #pragma once
 
 #include <array>
@@ -39,7 +46,7 @@ class SchedulerEnv {
   /// a long-lived caller (ProgmpProgram) passes its own vector so the pin
   /// capacity is reused across executions instead of reallocated per run.
   explicit SchedulerEnv(mptcp::SchedulerContext& ctx,
-                        std::vector<mptcp::SkbPtr>* pin_scratch = nullptr)
+                        std::vector<const mptcp::Skb*>* pin_scratch = nullptr)
       : ctx_(ctx), pins_(pin_scratch != nullptr ? *pin_scratch : own_pins_) {
     pins_.clear();
     pins_.push_back(nullptr);  // handle 0 = NULL
@@ -96,14 +103,13 @@ class SchedulerEnv {
   }
 
   // ---- Handle table ---------------------------------------------------------------
-  PktHandle pin(const mptcp::SkbPtr& skb) {
+  PktHandle pin(const mptcp::Skb* skb) {
     if (skb == nullptr) return 0;
     pins_.push_back(skb);
     return pins_.size() - 1;
   }
-  [[nodiscard]] const mptcp::SkbPtr& unpin(PktHandle h) const {
-    static const mptcp::SkbPtr kNull;
-    if (h == 0 || h >= pins_.size()) return kNull;
+  [[nodiscard]] const mptcp::Skb* unpin(PktHandle h) const {
+    if (h == 0 || h >= pins_.size()) return nullptr;
     return pins_[h];
   }
 
@@ -115,8 +121,8 @@ class SchedulerEnv {
   /// avoids a heap allocation per execution.
   std::array<int, mptcp::kMaxSubflows> slots_{};
   std::int64_t slot_count_ = 0;
-  std::vector<mptcp::SkbPtr> own_pins_;  ///< backing when no scratch given
-  std::vector<mptcp::SkbPtr>& pins_;     ///< handle -> packet
+  std::vector<const mptcp::Skb*> own_pins_;  ///< backing when no scratch
+  std::vector<const mptcp::Skb*>& pins_;     ///< handle -> borrowed packet
   PrintFn print_fn_;
 };
 

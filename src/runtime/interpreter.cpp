@@ -17,22 +17,17 @@ using lang::StmtKind;
 using lang::Type;
 using mptcp::QueueId;
 
-/// A runtime value. Packet values are handles into the environment's pin
-/// table; subflow values are dense indices (-1 = NULL). Lists and queues are
-/// materialized eagerly — the interpreter is the unoptimized baseline; the
-/// compiled back ends fuse these into scan loops (late materialization).
-struct Value {
-  Type type = Type::kInt;
-  std::int64_t i = 0;               // int / bool / subflow index / pkt handle
-  std::vector<std::int64_t> items;  // subflow list or materialized queue
-  QueueId base = QueueId::kQ;       // for queue values: originating queue
-};
+using Value = InterpValue;
 
 class Interp {
  public:
-  Interp(const Program& program, SchedulerEnv& env)
-      : program_(program), env_(env) {
-    frame_.resize(static_cast<std::size_t>(program.frame_slots));
+  Interp(const Program& program, SchedulerEnv& env, InterpScratch& scratch)
+      : program_(program),
+        env_(env),
+        frame_(scratch.frame),
+        arena_(scratch.arena) {
+    frame_.assign(static_cast<std::size_t>(program.frame_slots), Value{});
+    arena_.clear();
   }
 
   std::int64_t run() {
@@ -67,10 +62,11 @@ class Interp {
       }
       case StmtKind::kForeach: {
         const Value list = eval(s.expr);
-        for (std::int64_t elem : list.items) {
+        for (std::uint32_t k = 0; k < list.len; ++k) {
+          // Indexed, not iterated: the body may grow (reallocate) the arena.
           Value v;
           v.type = Type::kSubflow;
-          v.i = elem;
+          v.i = item(list, k);
           slot(s.var_slot) = v;
           for (StmtId b : s.body) {
             exec_stmt(b);
@@ -97,25 +93,39 @@ class Interp {
     }
   }
 
-  /// Materializes a list/queue expression into element values:
-  /// dense subflow indices, or packet handles for queues.
+  /// Materializes a list/queue expression into the arena: dense subflow
+  /// indices, or packet handles for queues.
   Value materialize(const Expr& e) {
     Value v;
+    v.begin = static_cast<std::uint32_t>(arena_.size());
     if (e.kind == ExprKind::kSubflows) {
       v.type = Type::kSubflowList;
-      for (std::int64_t i = 0; i < env_.sbf_count(); ++i) v.items.push_back(i);
-      return v;
-    }
-    if (e.kind == ExprKind::kQueue) {
+      for (std::int64_t i = 0; i < env_.sbf_count(); ++i) arena_.push_back(i);
+    } else {
+      PROGMP_CHECK_MSG(e.kind == ExprKind::kQueue,
+                       "not a materializable base");
       v.type = Type::kPacketQueue;
-      v.base = static_cast<QueueId>(e.int_value);
-      const std::int64_t len = env_.queue_len(v.base);
+      const auto id = static_cast<QueueId>(e.int_value);
+      const std::int64_t len = env_.queue_len(id);
       for (std::int64_t i = 0; i < len; ++i) {
-        v.items.push_back(static_cast<std::int64_t>(env_.queue_nth(v.base, i)));
+        arena_.push_back(static_cast<std::int64_t>(env_.queue_nth(id, i)));
       }
-      return v;
     }
-    PROGMP_UNREACHABLE("not a materializable base");
+    v.len = static_cast<std::uint32_t>(arena_.size()) - v.begin;
+    return v;
+  }
+
+  [[nodiscard]] std::int64_t item(const Value& list, std::uint32_t k) const {
+    return arena_[static_cast<std::size_t>(list.begin) + k];
+  }
+
+  /// Evaluates the per-element expression of FILTER/MIN/MAX/SUM and drops
+  /// whatever it materialized (see InterpScratch).
+  std::int64_t eval_predicate(ExprId id) {
+    const std::size_t mark = arena_.size();
+    const std::int64_t result = eval(id).i;
+    arena_.resize(mark);
+    return result;
   }
 
   Value eval(ExprId id) {
@@ -160,22 +170,26 @@ class Interp {
       case ExprKind::kBinary:
         return eval_binary(e);
       case ExprKind::kFilter: {
-        Value base = eval(e.a);
+        const Value base = eval(e.a);
         Value out;
         out.type = base.type;
-        out.base = base.base;
+        out.begin = static_cast<std::uint32_t>(arena_.size());
         const Type elem_type = base.type == Type::kSubflowList
                                    ? Type::kSubflow
                                    : Type::kPacket;
-        for (std::int64_t elem : base.items) {
+        for (std::uint32_t k = 0; k < base.len; ++k) {
+          const std::int64_t elem = item(base, k);
           bind_param(e.var_slot, elem_type, elem);
-          if (eval(e.b).i != 0) out.items.push_back(elem);
+          // The predicate's scratch is gone before the kept element lands,
+          // so the output stays contiguous.
+          if (eval_predicate(e.b) != 0) arena_.push_back(elem);
         }
+        out.len = static_cast<std::uint32_t>(arena_.size()) - out.begin;
         return out;
       }
       case ExprKind::kMinBy:
       case ExprKind::kMaxBy: {
-        Value base = eval(e.a);
+        const Value base = eval(e.a);
         const Type elem_type = base.type == Type::kSubflowList
                                    ? Type::kSubflow
                                    : Type::kPacket;
@@ -183,9 +197,10 @@ class Interp {
         std::int64_t best_key = is_min ? std::numeric_limits<std::int64_t>::max()
                                        : std::numeric_limits<std::int64_t>::min();
         std::int64_t best = elem_type == Type::kSubflow ? -1 : 0;
-        for (std::int64_t elem : base.items) {
+        for (std::uint32_t k = 0; k < base.len; ++k) {
+          const std::int64_t elem = item(base, k);
           bind_param(e.var_slot, elem_type, elem);
-          const std::int64_t key = eval(e.b).i;
+          const std::int64_t key = eval_predicate(e.b);
           // Strict comparison: ties resolve to the first element.
           if (is_min ? key < best_key : key > best_key) {
             best_key = key;
@@ -197,14 +212,14 @@ class Interp {
         break;
       }
       case ExprKind::kSumBy: {
-        Value base = eval(e.a);
+        const Value base = eval(e.a);
         const Type elem_type = base.type == Type::kSubflowList
                                    ? Type::kSubflow
                                    : Type::kPacket;
         std::int64_t sum = 0;
-        for (std::int64_t elem : base.items) {
-          bind_param(e.var_slot, elem_type, elem);
-          sum += eval(e.b).i;
+        for (std::uint32_t k = 0; k < base.len; ++k) {
+          bind_param(e.var_slot, elem_type, item(base, k));
+          sum += eval_predicate(e.b);
         }
         v.type = Type::kInt;
         v.i = sum;
@@ -212,28 +227,27 @@ class Interp {
       }
       case ExprKind::kCount: {
         v.type = Type::kInt;
-        v.i = static_cast<std::int64_t>(eval(e.a).items.size());
+        v.i = eval(e.a).len;
         break;
       }
       case ExprKind::kEmpty: {
         v.type = Type::kBool;
-        v.i = eval(e.a).items.empty() ? 1 : 0;
+        v.i = eval(e.a).len == 0 ? 1 : 0;
         break;
       }
       case ExprKind::kGet: {
         const Value base = eval(e.a);
         const Value index = eval(e.b);
         v.type = Type::kSubflow;
-        v.i = (index.i >= 0 &&
-               index.i < static_cast<std::int64_t>(base.items.size()))
-                  ? base.items[static_cast<std::size_t>(index.i)]
+        v.i = (index.i >= 0 && index.i < base.len)
+                  ? item(base, static_cast<std::uint32_t>(index.i))
                   : -1;
         break;
       }
       case ExprKind::kTop: {
         const Value base = eval(e.a);
         v.type = Type::kPacket;
-        v.i = base.items.empty() ? 0 : base.items.front();
+        v.i = base.len == 0 ? 0 : item(base, 0);
         break;
       }
       case ExprKind::kPop: {
@@ -324,15 +338,17 @@ class Interp {
 
   const Program& program_;
   SchedulerEnv& env_;
-  std::vector<Value> frame_;
+  std::vector<Value>& frame_;
+  std::vector<std::int64_t>& arena_;
   bool returned_ = false;
   std::int64_t steps_ = 0;  ///< statements executed + expressions evaluated
 };
 
 }  // namespace
 
-std::int64_t interpret(const lang::Program& program, SchedulerEnv& env) {
-  return Interp(program, env).run();
+std::int64_t interpret(const lang::Program& program, SchedulerEnv& env,
+                       InterpScratch& scratch) {
+  return Interp(program, env, scratch).run();
 }
 
 }  // namespace progmp::rt

@@ -12,26 +12,47 @@
 namespace progmp::rt {
 
 /// A load-time prepared IR program: labels removed, jump immediates rewritten
-/// to instruction indices, register file preallocated.
+/// to instruction indices, binary operators decoded into the opcode (one
+/// dispatch per step), register file preallocated.
 class IrExecutable {
  public:
   explicit IrExecutable(const IrProgram& program);
 
-  /// Runs one scheduler execution; returns the number of IR instructions
-  /// executed. `fuel` is a defensive instruction cap.
-  std::int64_t run(SchedulerEnv& env, std::int64_t fuel = 1'000'000);
+  struct RunResult {
+    std::int64_t steps = 0;  ///< IR instructions executed
+    /// The program wanted to execute more than `fuel` instructions. A run
+    /// that reaches its end on exactly its last unit of fuel is not
+    /// exhausted.
+    bool exhausted = false;
+  };
 
-  [[nodiscard]] std::size_t code_size() const { return insts_.size(); }
+  /// Runs one scheduler execution under an instruction cap of `fuel`.
+  RunResult run(SchedulerEnv& env, std::int64_t fuel = 1'000'000);
+
+  [[nodiscard]] std::size_t code_size() const { return steps_.size(); }
 
   /// Approximate resident size in bytes (for the §4.3 memory table).
   [[nodiscard]] std::size_t memory_bytes() const {
-    return insts_.capacity() * sizeof(IrInst) +
+    return steps_.capacity() * sizeof(Step) +
            regs_.capacity() * sizeof(std::int64_t);
   }
 
  private:
-  std::vector<IrInst> insts_;        ///< kLabel stripped; jumps hold pc
-  std::vector<std::int64_t> regs_;   ///< reused across runs
+  /// Executor opcode: an IrOp, with kBin/kBinImm split per operator.
+  enum class Code : std::uint8_t;
+  static Code decode(const IrInst& inst);
+
+  /// One IR instruction as executed.
+  struct Step {
+    Code code;
+    VReg dst;
+    VReg a;
+    VReg b;
+    std::int64_t imm;  ///< immediate, or the target pc of a jump
+  };
+
+  std::vector<Step> steps_;         ///< kLabel stripped; jumps hold pc
+  std::vector<std::int64_t> regs_;  ///< reused across runs
 };
 
 /// Convenience: prepare and run once (tests).

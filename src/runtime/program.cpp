@@ -101,12 +101,13 @@ void ProgmpProgram::schedule(mptcp::SchedulerContext& ctx) {
   if (print_fn_) env.set_print_fn(print_fn_);
   switch (options_.backend) {
     case Backend::kInterpreter:
-      ctx.note_exec("interpreter", interpret(ast_, env));
+      ctx.note_exec("interpreter", interpret(ast_, env, interp_scratch_));
       return;
     case Backend::kCompiled: {
-      const std::int64_t steps = executable_->run(env, options_.exec_budget);
-      ctx.note_exec("compiled", steps);
-      if (steps >= options_.exec_budget) {
+      const IrExecutable::RunResult result =
+          executable_->run(env, options_.exec_budget);
+      ctx.note_exec("compiled", result.steps);
+      if (result.exhausted) {
         ctx.note_fault(mptcp::FaultKind::kBudgetExhausted);
       }
       return;

@@ -22,6 +22,7 @@
 #include "runtime/ebpf_verifier.hpp"
 #include "runtime/ebpf_vm.hpp"
 #include "runtime/env.hpp"
+#include "runtime/interpreter.hpp"
 #include "runtime/ir.hpp"
 #include "runtime/ir_exec.hpp"
 
@@ -113,7 +114,9 @@ class ProgmpProgram final : public mptcp::Scheduler {
   ebpf::Vm vm_;
   SchedulerEnv::PrintFn print_fn_;
   /// Handle-table backing reused across executions (see SchedulerEnv ctor).
-  std::vector<mptcp::SkbPtr> pin_scratch_;
+  std::vector<const mptcp::Skb*> pin_scratch_;
+  /// Interpreter frame and list arena, reused across executions.
+  InterpScratch interp_scratch_;
 };
 
 }  // namespace progmp::rt

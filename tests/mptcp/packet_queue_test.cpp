@@ -112,6 +112,37 @@ TEST(PacketQueueTest, TrackedEraseIsExactAndClearsFlag) {
   EXPECT_FALSE(queue.audit().has_value());
 }
 
+void check_insert_at(PacketQueue& queue, bool tracked) {
+  SCOPED_TRACE(tracked ? "tracked" : "untracked");
+  std::deque<SkbPtr> reference;
+  for (std::uint64_t seq = 0; seq < 40; ++seq) {
+    reference.push_back(make_skb(seq, 100 + static_cast<std::int32_t>(seq),
+                                 seq % 7 == 0, seq % 3 == 0 ? 1u : 0u));
+    queue.push_back(reference.back());
+  }
+  // Remove from the middle, then put back where it came from, across
+  // both ring halves and the ends; index_of names each position.
+  for (std::size_t idx : {0u, 5u, 17u, 20u, 33u, 39u}) {
+    const SkbPtr skb = reference[idx];
+    EXPECT_EQ(queue.index_of(skb.get()), static_cast<std::int64_t>(idx));
+    ASSERT_EQ(queue.pop_at(idx).get(), skb.get());
+    EXPECT_EQ(queue.index_of(skb.get()), -1);
+    queue.insert_at(idx, skb);
+    EXPECT_EQ(queue.index_of(skb.get()), static_cast<std::int64_t>(idx));
+    EXPECT_EQ(queue.find(skb.get()), &queue.at(idx).skb);
+  }
+  queue.insert_at(queue.size(), make_skb(99, 1));
+  reference.push_back(queue.at(queue.size() - 1).skb);
+  expect_matches(queue, reference, tracked);
+}
+
+TEST(PacketQueueTest, InsertAtRestoresTheVacatedPosition) {
+  PacketQueue tracked(QueueId::kQ);
+  check_insert_at(tracked, true);
+  PacketQueue untracked;
+  check_insert_at(untracked, false);
+}
+
 TEST(PacketQueueTest, UntrackedModeAllowsDuplicates) {
   PacketQueue queue;  // subflow-queue mode
   auto skb = make_skb(7, 500);

@@ -52,6 +52,7 @@ void make_env(FakeEnv& env, std::uint64_t seed) {
         for (int s = 0; s < num_subflows; ++s) {
           if (rng.chance(0.5)) skb->mark_sent_on(s, env.now);
         }
+        env.queues.refresh_sent_mask(skb.get());
       }
     }
   };
@@ -69,29 +70,64 @@ struct Outcome {
   std::vector<std::uint64_t> q, qu, rq;
   std::int64_t pops;
   std::int64_t drops;
+  std::int64_t null_pushes;
   std::vector<std::int64_t> prints;
 
   bool operator==(const Outcome&) const = default;
 };
 
-Outcome run_backend(std::string_view spec, Backend backend,
-                    std::uint64_t seed) {
+/// One execution as the engine runs it: a faulting execution is rolled
+/// back before anything else looks at the queues.
+struct Execution {
+  Outcome outcome;
+  bool faulted = false;
+  std::int64_t insns = 0;  ///< steps / instructions the backend retired
+};
+
+/// Queue contents as meta_seq lists, after checking every queue's
+/// internal consistency (membership flags, intrusive index, aggregates).
+void record_queues(const FakeEnv& env, Outcome& outcome) {
+  for (const mptcp::PacketQueue* queue : {&env.q, &env.qu, &env.rq}) {
+    const auto problem = queue->audit();
+    EXPECT_FALSE(problem.has_value()) << *problem;
+  }
+  for (const auto& e : env.q) outcome.q.push_back(e.meta_seq);
+  for (const auto& e : env.qu) outcome.qu.push_back(e.meta_seq);
+  for (const auto& e : env.rq) outcome.rq.push_back(e.meta_seq);
+}
+
+/// `exec_budget` > 0 starves the compiled/eBPF backends; the load-time
+/// worst-case proof is then off so the runtime budget check is what fires.
+Execution run_backend(std::string_view spec, Backend backend,
+                      std::uint64_t seed, std::int64_t exec_budget = 0) {
   FakeEnv env;
   make_env(env, seed);
-  auto program = must_load(spec, backend);
-  Outcome outcome;
+  DiagSink diags;
+  rt::ProgmpProgram::LoadOptions options;
+  options.backend = backend;
+  if (exec_budget > 0) {
+    options.exec_budget = exec_budget;
+    options.verify.absint = false;
+  }
+  auto program = rt::ProgmpProgram::load(spec, "test_sched", options, diags);
+  EXPECT_NE(program, nullptr) << diags.str();
+  Execution run;
+  if (program == nullptr) return run;
+  Outcome& outcome = run.outcome;
   program->set_print_fn(
       [&](std::int64_t v) { outcome.prints.push_back(v); });
   auto ctx = env.ctx();
   program->schedule(ctx);
+  run.faulted = ctx.faulted();
+  run.insns = ctx.exec_insns();
+  if (run.faulted) ctx.rollback();
   outcome.actions = test::action_string(ctx);
   outcome.registers = env.registers;
-  for (const auto& e : env.q) outcome.q.push_back(e.meta_seq);
-  for (const auto& e : env.qu) outcome.qu.push_back(e.meta_seq);
-  for (const auto& e : env.rq) outcome.rq.push_back(e.meta_seq);
+  record_queues(env, outcome);
   outcome.pops = env.stats.pops;
   outcome.drops = env.stats.drops;
-  return outcome;
+  outcome.null_pushes = env.stats.null_pushes;
+  return run;
 }
 
 class BackendEquivalence
@@ -104,9 +140,10 @@ TEST_P(BackendEquivalence, AllBackendsAgree) {
   ASSERT_TRUE(spec.has_value());
 
   const Outcome reference =
-      run_backend(spec->source, Backend::kInterpreter, seed);
-  const Outcome compiled = run_backend(spec->source, Backend::kCompiled, seed);
-  const Outcome ebpf = run_backend(spec->source, Backend::kEbpf, seed);
+      run_backend(spec->source, Backend::kInterpreter, seed).outcome;
+  const Outcome compiled =
+      run_backend(spec->source, Backend::kCompiled, seed).outcome;
+  const Outcome ebpf = run_backend(spec->source, Backend::kEbpf, seed).outcome;
 
   EXPECT_EQ(reference.actions, compiled.actions) << "compiled diverges";
   EXPECT_EQ(reference.actions, ebpf.actions) << "ebpf diverges";
@@ -147,11 +184,30 @@ class ConstructEquivalence : public ::testing::TestWithParam<const char*> {};
 TEST_P(ConstructEquivalence, AllBackendsAgree) {
   const char* spec = GetParam();
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const Outcome reference = run_backend(spec, Backend::kInterpreter, seed);
-    const Outcome compiled = run_backend(spec, Backend::kCompiled, seed);
-    const Outcome ebpf = run_backend(spec, Backend::kEbpf, seed);
-    EXPECT_EQ(reference, compiled) << "seed " << seed << " spec:\n" << spec;
-    EXPECT_EQ(reference, ebpf) << "seed " << seed << " spec:\n" << spec;
+    const Execution reference = run_backend(spec, Backend::kInterpreter, seed);
+    EXPECT_FALSE(reference.faulted);
+    FakeEnv untouched;
+    make_env(untouched, seed);
+    Outcome before;
+    record_queues(untouched, before);
+    for (Backend backend : {Backend::kCompiled, Backend::kEbpf}) {
+      const Execution run = run_backend(spec, backend, seed);
+      EXPECT_FALSE(run.faulted);
+      EXPECT_EQ(reference.outcome, run.outcome)
+          << rt::backend_name(backend) << " seed " << seed << " spec:\n"
+          << spec;
+      // The same execution one instruction short of its end faults after
+      // every action it took; the rollback must leave the queues exactly as
+      // they were and discard the PUSHes. (The interpreter has no budget.)
+      const Execution starved = run_backend(spec, backend, seed, run.insns - 1);
+      EXPECT_TRUE(starved.faulted);
+      EXPECT_EQ(starved.outcome.actions, "");
+      EXPECT_EQ(starved.outcome.q, before.q)
+          << rt::backend_name(backend) << " seed " << seed << " spec:\n"
+          << spec;
+      EXPECT_EQ(starved.outcome.qu, before.qu);
+      EXPECT_EQ(starved.outcome.rq, before.rq);
+    }
   }
 }
 
@@ -187,6 +243,46 @@ const char* kConstructSpecs[] = {
     // Deeply nested control flow.
     "IF (!Q.EMPTY) { IF (!SUBFLOWS.EMPTY) { IF (R1 > 0) {"
     "  SUBFLOWS.MIN(s => s.RTT + s.RTT_VAR).PUSH(Q.POP()); } } }",
+    // Borrowed packet handles. TOP then POP of the same packet, then a PUSH
+    // through the first handle: the packet has left Q and lives on in the
+    // pop log.
+    "VAR top = Q.TOP; VAR p = Q.POP();"
+    "SUBFLOWS.MIN(s => s.RTT).PUSH(top);"
+    "IF (top != NULL) { PRINT(top.SEQ + p.SEQ); PRINT(Q.COUNT); }",
+    // DROP then PUSH of the dropped packet: a counted null push.
+    "VAR p = Q.TOP; DROP(p);"
+    "SUBFLOWS.MIN(s => s.RTT).PUSH(p);"
+    "IF (p != NULL) { PRINT(p.SIZE); } PRINT(Q.COUNT);",
+    // A packet read from QU, then dropped (it leaves every queue).
+    "VAR p = QU.FILTER(x => x.SIZE > 500).TOP;"
+    "IF (p != NULL) { PRINT(p.SEQ); PRINT(p.SENT_COUNT); }"
+    "DROP(p); PRINT(QU.COUNT); PRINT(QU.SUM(x => x.SIZE));",
+    // A POP before the rest of the program: the starved-budget rerun of
+    // every construct faults after it, and the rollback must return the
+    // packet to the front of Q.
+    "VAR p = Q.POP(); VAR s = SUBFLOWS.MIN(sbf => sbf.RTT);"
+    "IF (p != NULL AND s != NULL) { s.PUSH(p); }"
+    "PRINT(Q.COUNT);",
+    // Interpreter arena: a queue materialized inside a FILTER predicate.
+    "PRINT(SUBFLOWS.FILTER(s => QU.FILTER(p => !p.SENT_ON(s)).COUNT > 0)"
+    ".COUNT);",
+    // A list variable read after a nested FILTER reused the arena above it.
+    "VAR l = SUBFLOWS.FILTER(s => s.CWND > 3);"
+    "PRINT(SUBFLOWS.FILTER(s => Q.FILTER(p => p.SIZE > 700).COUNT > s.ID)"
+    ".COUNT);"
+    "PRINT(l.COUNT); PRINT(l.SUM(s => s.ID));"
+    "IF (!l.EMPTY) { PRINT(l.GET(0).ID); PRINT(l.MAX(s => s.RTT).ID); }",
+    // FOREACH over a list variable whose body materializes queues.
+    "VAR l = SUBFLOWS.FILTER(s => !s.IS_BACKUP);"
+    "FOREACH (VAR s IN l) {"
+    "  PRINT(Q.FILTER(p => !p.SENT_ON(s)).COUNT + QU.SUM(p => p.SIZE));"
+    "  PRINT(l.COUNT); }",
+    // Branch conditions: comparisons of conditions, nested NOT/AND/OR
+    // chains and constant operands compile to eBPF jump chains.
+    "IF ((R1 > 10) == (R2 < 5)) { PRINT(1); } ELSE { PRINT(0); }"
+    "IF (NOT (R1 > 3 OR (R2 < 7 AND NOT (R3 == R4)))) { PRINT(2); }"
+    "IF (SUBFLOWS.FILTER(s => s.CWND > 3 OR NOT s.IS_BACKUP).EMPTY) {"
+    "  PRINT(3); }",
 };
 
 INSTANTIATE_TEST_SUITE_P(Constructs, ConstructEquivalence,

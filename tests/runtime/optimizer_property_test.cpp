@@ -249,7 +249,10 @@ TEST_P(OptimizerProperty, OptimizationPreservesBehaviour) {
 
   for (std::uint64_t env_seed = 1; env_seed <= 5; ++env_seed) {
     const Observed reference = observe(
-        spec, env_seed, [&](SchedulerEnv& env) { interpret(p, env); });
+        spec, env_seed, [&](SchedulerEnv& env) {
+          InterpScratch scratch;
+          interpret(p, env, scratch);
+        });
     const Observed via_plain_ir = observe(
         spec, env_seed, [&](SchedulerEnv& env) { exec_ir(plain, env); });
     const Observed via_opt_ir = observe(

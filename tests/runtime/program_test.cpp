@@ -65,6 +65,48 @@ TEST(ProgramTest, SpecializationCacheGrowsPerSubflowCount) {
   EXPECT_EQ(program->specialized_variants(), 3u);
 }
 
+/// Runs `SET(R1, R1 + 1);` once under `budget`; returns {R1, faulted,
+/// instructions retired}. The absint pass is off so the load never refuses
+/// a budget below its derived bound: the runtime check is under test.
+struct BudgetRun {
+  std::int64_t r1;
+  bool faulted;
+  std::int64_t insns;
+};
+BudgetRun run_increment(Backend backend, std::int64_t budget) {
+  DiagSink diags;
+  ProgmpProgram::LoadOptions options;
+  options.backend = backend;
+  options.exec_budget = budget;
+  options.verify.absint = false;
+  auto program =
+      ProgmpProgram::load("SET(R1, R1 + 1);", "inc", options, diags);
+  EXPECT_NE(program, nullptr) << diags.str();
+  if (program == nullptr) return {};
+  FakeEnv env;
+  auto ctx = env.ctx();
+  program->schedule(ctx);
+  return {env.registers[0], ctx.faulted(), ctx.exec_insns()};
+}
+
+TEST(ProgramTest, BudgetOfExactlyTheStepCountRunsClean) {
+  for (Backend backend : {Backend::kCompiled, Backend::kEbpf}) {
+    SCOPED_TRACE(backend_name(backend));
+    const std::int64_t exact = run_increment(backend, 1'000'000).insns;
+    ASSERT_GT(exact, 1);
+
+    const BudgetRun at_exact = run_increment(backend, exact);
+    EXPECT_FALSE(at_exact.faulted);
+    EXPECT_EQ(at_exact.r1, 1);
+    EXPECT_EQ(at_exact.insns, exact);
+
+    // One unit short: the program cannot reach its end and must fault.
+    const BudgetRun short_by_one = run_increment(backend, exact - 1);
+    EXPECT_TRUE(short_by_one.faulted);
+    EXPECT_EQ(short_by_one.insns, exact - 1);
+  }
+}
+
 TEST(ProgramTest, SpecializationCanBeDisabled) {
   DiagSink diags;
   ProgmpProgram::LoadOptions options;

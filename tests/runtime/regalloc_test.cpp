@@ -3,6 +3,7 @@
 // second-chance binpacking behaviour under controlled load.
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <numeric>
 #include <string>
 
@@ -13,6 +14,8 @@
 #include "runtime/ebpf_verifier.hpp"
 #include "runtime/ebpf_vm.hpp"
 #include "runtime/irgen.hpp"
+#include "runtime/iropt.hpp"
+#include "sched/specs.hpp"
 
 namespace progmp::rt::ebpf {
 namespace {
@@ -143,6 +146,88 @@ TEST(RegAllocTest, FusedBranchesReduceCodeSize) {
     }
   }
   EXPECT_TRUE(has_cond_jump);
+}
+
+/// Stack slots written by StxDw that no path reads before the slot is
+/// overwritten or the program exits, found by backward slot liveness over
+/// the bytecode's control-flow graph. Returns the offending pcs.
+std::vector<std::size_t> dead_stores(const Code& code) {
+  constexpr int kSlots = kStackBytes / 8;
+  using Slots = std::bitset<kSlots>;
+  const auto slot_of = [](std::int16_t off) {
+    return static_cast<std::size_t>(-off / 8 - 1);
+  };
+  const std::size_t n = code.size();
+  std::vector<Slots> live_in(n);
+  std::vector<Slots> live_out(n);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t pc = n; pc-- > 0;) {
+      const Insn& insn = code[pc];
+      Slots out;
+      const auto merge = [&](std::int64_t succ) {
+        if (succ >= 0 && succ < static_cast<std::int64_t>(n)) {
+          out |= live_in[static_cast<std::size_t>(succ)];
+        }
+      };
+      const auto next = static_cast<std::int64_t>(pc) + 1;
+      if (insn.op == Op::kJa) {
+        merge(next + insn.off);
+      } else if (is_jump(insn.op)) {
+        merge(next);
+        merge(next + insn.off);
+      } else if (insn.op != Op::kExit) {
+        merge(next);
+      }
+      Slots in = out;
+      if (insn.op == Op::kStxDw && insn.dst == kFp) {
+        in.reset(slot_of(insn.off));
+      }
+      if (insn.op == Op::kLdxDw && insn.src == kFp) {
+        in.set(slot_of(insn.off));
+      }
+      live_out[pc] = out;
+      if (in != live_in[pc]) {
+        live_in[pc] = in;
+        changed = true;
+      }
+    }
+  }
+  std::vector<std::size_t> dead;
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    if (code[pc].op == Op::kStxDw && code[pc].dst == kFp &&
+        !live_out[pc].test(slot_of(code[pc].off))) {
+      dead.push_back(pc);
+    }
+  }
+  return dead;
+}
+
+TEST(RegAllocTest, BuiltinSpecsStoreOnlyLiveValues) {
+  // Every spill store must be read on some path: the allocator writes a
+  // value back only while it is live. Checked on the generic variant and
+  // on the variants specialized for 1-4 subflows that the loader builds.
+  for (const auto& spec : sched::specs::all_specs()) {
+    DiagSink diags;
+    lang::Program p = lang::parse(spec.source, std::string(spec.name), diags);
+    ASSERT_TRUE(diags.ok()) << diags.str();
+    ASSERT_TRUE(lang::analyze(p, diags)) << diags.str();
+    for (std::int64_t sbf_count = 0; sbf_count <= 4; ++sbf_count) {
+      SCOPED_TRACE(std::string(spec.name) + " subflows=" +
+                   (sbf_count == 0 ? "generic" : std::to_string(sbf_count)));
+      OptOptions opts;
+      if (sbf_count > 0) opts.const_sbf_count = sbf_count;
+      const CompileResult compiled = compile(optimize(lower(p), opts));
+      ASSERT_TRUE(compiled.ok) << compiled.error;
+      const VerifyResult verdict = verify(compiled.code);
+      EXPECT_TRUE(verdict.ok) << verdict.error;
+      for (std::size_t pc : dead_stores(compiled.code)) {
+        ADD_FAILURE() << "dead spill store at pc " << pc << ": "
+                      << compiled.code[pc].str() << "\n"
+                      << disassemble(compiled.code);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "api/progmp_api.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "mptcp/path_health.hpp"
 #include "sched/specs.hpp"
@@ -23,6 +25,25 @@ class SchedulerInstance final : public mptcp::Scheduler {
  private:
   std::shared_ptr<rt::ProgmpProgram> program_;
 };
+
+/// [min..max] meta_seq over `queue`; [0..0] when empty.
+std::pair<std::uint64_t, std::uint64_t> seq_span(
+    const mptcp::PacketQueue& queue) {
+  if (queue.empty()) return {0, 0};
+  std::uint64_t lo = queue.front()->meta_seq;
+  std::uint64_t hi = lo;
+  for (const mptcp::SkbPtr& skb : queue) {
+    lo = std::min(lo, skb->meta_seq);
+    hi = std::max(hi, skb->meta_seq);
+  }
+  return {lo, hi};
+}
+
+std::int64_t count_flow_end(const mptcp::PacketQueue& queue) {
+  std::int64_t n = 0;
+  for (const mptcp::SkbPtr& skb : queue) n += skb->props.flow_end ? 1 : 0;
+  return n;
+}
 
 }  // namespace
 
@@ -92,7 +113,6 @@ std::string ProgmpApi::proc_stats(mptcp::MptcpConnection& conn) {
   std::snprintf(buf, sizeof buf, "Q: %zu  QU: %zu  RQ: %zu\n", conn.q_len(),
                 conn.qu_len(), conn.rq_len());
   out += buf;
-  // Constant-time queue aggregates maintained by the flat queue layer.
   const mptcp::PacketQueue& q = conn.sending_queue();
   const mptcp::PacketQueue& qu = conn.inflight_queue();
   const mptcp::PacketQueue& rq = conn.reinjection_queue();
@@ -102,17 +122,21 @@ std::string ProgmpApi::proc_stats(mptcp::MptcpConnection& conn) {
                 static_cast<long long>(qu.bytes()),
                 static_cast<long long>(rq.bytes()));
   out += buf;
+  // Walked on demand: nothing on the hot path reads these.
+  const auto [q_lo, q_hi] = seq_span(q);
+  const auto [qu_lo, qu_hi] = seq_span(qu);
+  std::int64_t qu_sent = 0;
+  for (const mptcp::SkbPtr& skb : qu) qu_sent += skb->sent_mask != 0 ? 1 : 0;
   std::snprintf(buf, sizeof buf,
                 "queue seq: Q=[%llu..%llu] QU=[%llu..%llu] qu_sent=%lld "
                 "flow_end=%lld\n",
-                static_cast<unsigned long long>(q.min_meta_seq()),
-                static_cast<unsigned long long>(q.max_meta_seq()),
-                static_cast<unsigned long long>(qu.min_meta_seq()),
-                static_cast<unsigned long long>(qu.max_meta_seq()),
-                static_cast<long long>(qu.sent_count()),
-                static_cast<long long>(q.flow_end_count() +
-                                       qu.flow_end_count() +
-                                       rq.flow_end_count()));
+                static_cast<unsigned long long>(q_lo),
+                static_cast<unsigned long long>(q_hi),
+                static_cast<unsigned long long>(qu_lo),
+                static_cast<unsigned long long>(qu_hi),
+                static_cast<long long>(qu_sent),
+                static_cast<long long>(count_flow_end(q) + count_flow_end(qu) +
+                                       count_flow_end(rq)));
   out += buf;
   const TimeNs now = conn.simulator().now();
   for (int slot = 0; slot < conn.subflow_count(); ++slot) {

@@ -52,18 +52,16 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng)
     create_subflow(spec);
   }
   if (cfg_.probe_revival || cfg_.keepalive_idle > TimeNs{0}) {
-    ensure_path_health();
+    health_ = std::make_unique<PathHealthMonitor>(sim_, *this);
+    for (int s = 0; s < subflow_count(); ++s) health_->on_subflow_attached(s);
   }
-  if (cfg_.stall_timeout > TimeNs{0}) arm_watchdog();
+  if (cfg_.stall_timeout > TimeNs{0}) {
+    wd_last_progress_at_ = sim_.now();
+    schedule_watchdog_poll();
+  }
 }
 
 MptcpConnection::~MptcpConnection() = default;
-
-void MptcpConnection::ensure_path_health() {
-  if (health_ != nullptr) return;
-  health_ = std::make_unique<PathHealthMonitor>(sim_, *this);
-  for (int s = 0; s < subflow_count(); ++s) health_->on_subflow_attached(s);
-}
 
 std::unique_ptr<tcp::CongestionControl> MptcpConnection::make_cc() {
   switch (cfg_.cc) {
@@ -312,8 +310,6 @@ void MptcpConnection::fail_subflow(int slot) {
   // revived) instead of wedging.
   for (const SkbPtr& skb : orphans) {
     skb->sent_mask &= ~(1u << static_cast<unsigned>(slot));
-    // The meta queues cache the mask in their entries; re-sync them.
-    queues_.refresh_sent_mask(skb.get());
   }
   // The deliberately-broken build for the chaos-soak self-test: dropping the
   // harvest strands the orphans in QU with no owner, which the
@@ -387,38 +383,6 @@ void MptcpConnection::revive_subflow(int slot, bool probe_proven) {
   trigger({TriggerKind::kSubflowAdded, slot});
 }
 
-void MptcpConnection::set_rto_death_threshold(int threshold) {
-  cfg_.rto_death_threshold = threshold;
-  for (auto& sbf : subflows_) sbf->set_rto_death_threshold(threshold);
-}
-
-void MptcpConnection::set_probe_revival(bool on) {
-  const bool was = cfg_.probe_revival;
-  cfg_.probe_revival = on;
-  if (on && !was) {
-    ensure_path_health();
-    // Subflows that failed before the switch start being probed right away
-    // (ensure_path_health covers them only when it created the monitor now).
-    for (int s = 0; s < subflow_count(); ++s) {
-      if (subflows_[static_cast<std::size_t>(s)]->state() ==
-          SubflowSender::State::kFailed) {
-        health_->on_subflow_failed(s);
-      }
-    }
-  } else if (!on && was && health_ != nullptr) {
-    health_->stop_all_probing();
-  }
-}
-
-void MptcpConnection::set_keepalive(TimeNs idle, int misses) {
-  cfg_.keepalive_idle = idle;
-  cfg_.keepalive_misses = misses;
-  if (idle > TimeNs{0}) ensure_path_health();
-  // Re-arm (or, with idle<=0, cancel) the keepalive timers under the new
-  // config — the pending timers carry the old cadence.
-  if (health_ != nullptr) health_->refresh_keepalives();
-}
-
 void MptcpConnection::deliver_window_update(std::int64_t wnd_stamp,
                                             std::int64_t rwnd) {
   const int slot = cfg_.window_update_subflow;
@@ -469,17 +433,6 @@ void MptcpConnection::apply_window(std::int64_t wnd_stamp, std::int64_t rwnd) {
     rwnd_ = rwnd;
   } else if (wnd_stamp == wnd_stamp_) {
     rwnd_ = std::max(rwnd_, rwnd);
-  }
-}
-
-void MptcpConnection::set_zero_window_probe(bool on) {
-  cfg_.zero_window_probe = on;
-  if (on) {
-    maybe_arm_persist();
-  } else if (persist_armed_) {
-    persist_armed_ = false;
-    persist_backoff_ = 1;
-    ++persist_epoch_;  // cancels the pending probe chain
   }
 }
 
@@ -576,21 +529,6 @@ void MptcpConnection::send_zero_window_probe(int slot) {
   });
 }
 
-void MptcpConnection::set_stall_timeout(TimeNs timeout) {
-  cfg_.stall_timeout = timeout;
-  // Disabling (timeout<=0) is handled by the next poll, which observes the
-  // config and stops itself.
-  if (timeout > TimeNs{0}) arm_watchdog();
-}
-
-void MptcpConnection::arm_watchdog() {
-  wd_last_delivered_ = delivered_bytes_;
-  wd_last_progress_at_ = sim_.now();
-  if (watchdog_armed_) return;
-  watchdog_armed_ = true;
-  schedule_watchdog_poll();
-}
-
 void MptcpConnection::schedule_watchdog_poll() {
   // Poll at half the stall timeout so a stall is declared at most one poll
   // period late; floor of 1 ms keeps tiny timeouts from flooding the sim.
@@ -604,10 +542,6 @@ void MptcpConnection::schedule_watchdog_poll() {
 }
 
 void MptcpConnection::watchdog_poll() {
-  if (cfg_.stall_timeout <= TimeNs{0}) {
-    watchdog_armed_ = false;  // disabled live: stop polling
-    return;
-  }
   const TimeNs now = sim_.now();
   if (delivered_bytes_ != wd_last_delivered_) {
     wd_last_delivered_ = delivered_bytes_;
@@ -633,8 +567,7 @@ void MptcpConnection::watchdog_poll() {
         // packet most likely wedged on a path that silently ate it. The
         // reinjection-first rule of every scheduler retransmits it on the
         // next available subflow.
-        for (const PacketQueue::Entry& e : queues_.qu) {
-          const SkbPtr& skb = e.skb;
+        for (const SkbPtr& skb : queues_.qu) {
           if (skb->acked || skb->dropped || skb->in_rq || skb->in_q) continue;
           queues_.rq.push_back(skb);
           ++stall_rescues_;
@@ -762,7 +695,6 @@ void MptcpConnection::apply_actions(const SchedulerContext& ctx) {
     auto& sbf = *subflows_[static_cast<std::size_t>(action.subflow_slot)];
     if (!sbf.established()) continue;  // subflow vanished: graceful no-op
     skb->mark_sent_on(action.subflow_slot, sim_.now());
-    queues_.refresh_sent_mask(skb.get());
     sbf.enqueue(skb);
   }
 }
@@ -865,7 +797,6 @@ void MptcpConnection::abandon_subflow(int slot) {
     // wire is gone, and !SENT_ON reinjection filters must see the packets as
     // placeable on the survivor.
     skb->sent_mask &= ~(1u << static_cast<unsigned>(slot));
-    queues_.refresh_sent_mask(skb.get());
   }
   // Unlike a path death — where the stranded data is a *suspected loss* and
   // goes through RQ's reinjection-first rule — fallback re-owns the data at

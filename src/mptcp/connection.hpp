@@ -251,28 +251,6 @@ class MptcpConnection {
   /// enough sane probes; such revivals trace kSubflowRevived with a=1).
   void revive_subflow(int slot, bool probe_proven = false);
 
-  // ---- Resilience knobs (live reconfiguration) ----------------------------
-  /// Applies a new consecutive-RTO death threshold to all subflows (0
-  /// disables detection).
-  void set_rto_death_threshold(int threshold);
-  void set_revive_on_restore(bool on) { cfg_.revive_on_restore = on; }
-  void set_revival_min_uptime(TimeNs t) { cfg_.revival_min_uptime = t; }
-  void set_sched_fault_fallback(bool on) { cfg_.sched_fault_fallback = on; }
-  /// Live path-health reconfiguration: enabling probing or keepalives after
-  /// construction creates the monitor on demand (already-failed subflows
-  /// start being probed immediately).
-  void set_probe_revival(bool on);
-  void set_keepalive(TimeNs idle, int misses = 2);
-  /// Live watchdog reconfiguration; enabling arms the poll timer.
-  void set_stall_timeout(TimeNs timeout);
-  void set_stall_rescue(bool on) { cfg_.stall_rescue = on; }
-  /// Live receive-window hardening knobs. Routing applies from the next
-  /// window update; enabling probing arms the persist timer immediately if
-  /// the sender is already rwnd-blocked, disabling cancels a pending chain.
-  void set_window_update_subflow(int slot) {
-    cfg_.window_update_subflow = slot;
-  }
-  void set_zero_window_probe(bool on);
   [[nodiscard]] const Config& config() const { return cfg_; }
 
   /// TEST ONLY: makes fail_subflow() drop the dead subflow's stranded
@@ -419,10 +397,6 @@ class MptcpConnection {
 
  private:
   int create_subflow(const SubflowSpec& spec);
-  /// Creates the PathHealthMonitor on demand and attaches every slot.
-  void ensure_path_health();
-  /// Arms the watchdog poll timer (idempotent; no-op while stall_timeout=0).
-  void arm_watchdog();
   void schedule_watchdog_poll();
   void watchdog_poll();
   /// Up/down observer for the forward (data) link of `slot` — drives the
@@ -508,7 +482,6 @@ class MptcpConnection {
   std::unique_ptr<PathHealthMonitor> health_;
 
   // ---- Watchdog state -----------------------------------------------------
-  bool watchdog_armed_ = false;
   std::int64_t wd_last_delivered_ = 0;
   TimeNs wd_last_progress_at_{0};
   std::int64_t stalls_ = 0;
@@ -554,7 +527,7 @@ class MptcpConnection {
   MetricHistogram* hist_pushes_per_exec_ = nullptr;
   const char* last_exec_backend_ = "none";
 
-  /// The three meta-level queues (Q, QU, RQ) as flat tracked PacketQueues;
+  /// The three meta-level queues (Q, QU, RQ) as PacketQueues;
   /// the bundle is the single QueueId -> queue mapping shared with the
   /// scheduler context.
   QueueBundle queues_;

@@ -16,16 +16,8 @@ void PathHealthMonitor::on_subflow_attached(int s) {
   if (st.attached) return;
   st.attached = true;
   st.baseline_rtt = conn_.path(s).base_rtt();
-  switch (conn_.subflow(s).state()) {
-    case SubflowSender::State::kEstablished:
-      start_keepalive(s);
-      break;
-    case SubflowSender::State::kFailed:
-      // Live enabling: probe_revival switched on with a subflow already down.
-      start_probing(s);
-      break;
-    case SubflowSender::State::kClosed:
-      break;
+  if (conn_.subflow(s).state() == SubflowSender::State::kEstablished) {
+    start_keepalive(s);
   }
 }
 
@@ -167,21 +159,6 @@ void PathHealthMonitor::start_keepalive(int s) {
   st.keepalive_miss_streak = 0;
   if (conn_.config().keepalive_idle <= TimeNs{0}) return;
   schedule_keepalive(s);
-}
-
-void PathHealthMonitor::stop_all_probing() {
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    if (slots_[static_cast<std::size_t>(s)].attached) stop_probing(s);
-  }
-}
-
-void PathHealthMonitor::refresh_keepalives() {
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    if (!slots_[static_cast<std::size_t>(s)].attached) continue;
-    if (conn_.subflow(s).state() == SubflowSender::State::kEstablished) {
-      start_keepalive(s);
-    }
-  }
 }
 
 void PathHealthMonitor::schedule_keepalive(int s) {

@@ -59,8 +59,7 @@ class PathHealthMonitor {
 
   // ---- Lifecycle notifications from the connection ------------------------
   /// A subflow slot exists (construction or add_subflow). Starts keepalives
-  /// if the subflow is established, or revival probing if it is already
-  /// failed (live enabling of probe_revival).
+  /// if the subflow is established.
   void on_subflow_attached(int slot);
   void on_subflow_failed(int slot);
   void on_subflow_revived(int slot);
@@ -68,13 +67,6 @@ class PathHealthMonitor {
   /// Forward-link up-transition while the subflow is failed: reset the
   /// exponential schedule and probe now — the restore is a hint, not proof.
   void on_link_restored(int slot);
-
-  // ---- Live reconfiguration ----------------------------------------------
-  /// probe_revival switched off: abandon every active probing schedule.
-  void stop_all_probing();
-  /// keepalive_idle/misses changed: re-arm keepalive timers on established
-  /// subflows under the new cadence (or cancel them when disabled).
-  void refresh_keepalives();
 
   [[nodiscard]] bool probing(int slot) const {
     return slots_[static_cast<std::size_t>(slot)].probing;

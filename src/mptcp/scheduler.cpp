@@ -104,7 +104,7 @@ void SchedulerContext::rollback() {
     if (it->drop) it->skb->dropped = false;
     for (QueueId id : {QueueId::kQ, QueueId::kQu, QueueId::kRq}) {
       const std::int64_t pos = it->pos[static_cast<std::size_t>(id)];
-      // insert_at restores the membership flag (tracked queue semantics).
+      // insert_at restores the membership flag.
       if (pos >= 0) {
         queues_->get(id).insert_at(static_cast<std::size_t>(pos), it->skb);
       }

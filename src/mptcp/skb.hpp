@@ -61,7 +61,7 @@ struct Skb {
   bool acked = false;
   bool dropped = false;  ///< removed via the DROP primitive
 
-  /// Intrusive membership index, maintained by the tracked PacketQueue for
+  /// Intrusive membership index, maintained by the PacketQueue for
   /// Q/QU/RQ (indexed by QueueId): the physical ring slot currently holding
   /// this packet. Only meaningful while the matching membership flag above
   /// is set; gives O(1) membership tests and mid-queue removal.

@@ -54,9 +54,7 @@ void SubflowSender::pump() {
         // Hand the whole remaining queue back to the connection rather than
         // letting window-blocked packets occupy this subflow's cwnd
         // headroom indefinitely (see Host::on_window_blocked).
-        std::vector<SkbPtr> blocked;
-        blocked.reserve(queue_.size());
-        for (const PacketQueue::Entry& e : queue_) blocked.push_back(e.skb);
+        std::vector<SkbPtr> blocked(queue_.begin(), queue_.end());
         queue_.clear();
         host_.on_window_blocked(slot_, std::move(blocked));
       }
@@ -286,12 +284,13 @@ void SubflowSender::disarm_rto() {
 void SubflowSender::purge_acked(const SkbPtr& skb) {
   // Redundant pushes can place the same skb in this queue more than once;
   // an ACK removes every copy.
-  while (queue_.erase(skb.get())) {
-  }
+  std::erase(queue_, skb);
 }
 
 bool SubflowSender::tracks(const Skb* skb) const {
-  if (queue_.contains(skb)) return true;
+  for (const SkbPtr& queued : queue_) {
+    if (queued.get() == skb) return true;
+  }
   for (const TxSeg& seg : inflight_) {
     if (seg.skb.get() == skb) return true;
   }
@@ -342,7 +341,7 @@ std::vector<SkbPtr> SubflowSender::harvest_and_clear() {
     if (skb == nullptr || skb->acked || skb->dropped) return;
     if (seen.insert(skb.get()).second) orphans.push_back(skb);
   };
-  for (const PacketQueue::Entry& e : queue_) collect(e.skb);
+  for (const SkbPtr& skb : queue_) collect(skb);
   for (const TxSeg& seg : inflight_) collect(seg.skb);
   queue_.clear();
   inflight_.clear();

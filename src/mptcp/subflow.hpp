@@ -164,12 +164,6 @@ class SubflowSender {
   /// window. No-op unless state() == kFailed.
   void reopen();
 
-  /// Live reconfiguration of the death-detection threshold (resilience knob
-  /// on the API; 0 disables).
-  void set_rto_death_threshold(int threshold) {
-    cfg_.rto_death_threshold = threshold;
-  }
-
   [[nodiscard]] int slot() const { return slot_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -242,10 +236,10 @@ class SubflowSender {
   TimeNs established_at_{0};
   TimeNs last_tx_at_{0};
 
-  /// Scheduled, not yet transmitted. Untracked mode: a subflow queue may
-  /// legally hold the same skb twice (redundant pushes), so it cannot own
-  /// the per-skb membership index the meta queues use.
-  PacketQueue queue_;
+  /// Scheduled, not yet transmitted. May hold the same skb twice
+  /// (redundant pushes), so it cannot own the per-skb membership index the
+  /// meta queues use.
+  std::deque<SkbPtr> queue_;
   std::deque<TxSeg> inflight_;  ///< transmitted, unacked (sorted by sbf_seq)
   std::uint64_t next_seq_ = 0;
   std::uint64_t snd_una_ = 0;

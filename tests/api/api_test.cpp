@@ -117,6 +117,29 @@ TEST(ApiTest, ProcStatsRendersState) {
   EXPECT_NE(stats.find("queue seq: Q=["), std::string::npos);
 }
 
+TEST(ApiTest, ProcStatsQueueSeqLineIsExact) {
+  // Thirty packets, the last one flagged end-of-flow, on two fresh subflows:
+  // before the first ACK is back (20 ms RTT), each subflow's initial window
+  // of ten is in flight in QU and the rest, including the flow-end packet,
+  // waits in Q.
+  sim::Simulator sim;
+  mptcp::MptcpConnection conn(sim, apps::lossy_config(0.0), Rng(7));
+  ProgmpApi api;
+  ASSERT_TRUE(api.load_builtin("minrtt"));
+  ASSERT_TRUE(api.set_scheduler(conn, "minrtt"));
+  mptcp::SkbProps props;
+  props.flow_end = true;
+  ProgmpApi::send(conn, 30 * 1400, props);
+  sim.run_until(milliseconds(1));
+  ASSERT_EQ(conn.qu_len(), 20u);
+  ASSERT_EQ(conn.q_len(), 10u);
+  const std::string stats = ProgmpApi::proc_stats(conn);
+  EXPECT_NE(stats.find("queue seq: Q=[20..29] QU=[0..19] qu_sent=20 "
+                       "flow_end=1\n"),
+            std::string::npos)
+      << stats;
+}
+
 TEST(ApiTest, ProcDumpMirrorsSchedulerStatsAndMetrics) {
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg = apps::lossy_config(0.0);
@@ -174,12 +197,17 @@ TEST(ApiTest, ProcDumpReportsTraceOverflowAndPathHealthKnobs) {
   EXPECT_NE(dump.find("path_health: probe_revival=off"), std::string::npos);
   EXPECT_NE(dump.find("stall_timeout="), std::string::npos);
 
-  // With the robustness stack armed, the knob line flips and the per-slot
-  // monitor lines appear.
-  conn.set_probe_revival(true);
-  conn.set_stall_timeout(seconds(2));
-  const std::string armed = ProgmpApi::proc_dump(conn);
+  // A connection built with the robustness stack armed shows the flipped
+  // knob line and the per-slot monitor lines.
+  mptcp::MptcpConnection::Config armed_cfg = apps::lossy_config(0.0);
+  armed_cfg.probe_revival = true;
+  armed_cfg.stall_timeout = seconds(2);
+  mptcp::MptcpConnection armed_conn(sim, armed_cfg, Rng(9));
+  ASSERT_TRUE(api.set_scheduler(armed_conn, "minrtt"));
+  const std::string armed = ProgmpApi::proc_dump(armed_conn);
   EXPECT_NE(armed.find("path_health: probe_revival=on"), std::string::npos);
+  EXPECT_NE(armed.find("stall_timeout=" + seconds(2).str()),
+            std::string::npos);
   EXPECT_NE(armed.find("path_health: sbf0"), std::string::npos);
 }
 

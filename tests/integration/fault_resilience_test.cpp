@@ -115,9 +115,10 @@ TEST(FaultResilienceTest, RevivedSubflowCarriesFreshDataAgain) {
 
 TEST(FaultResilienceTest, RevivalCanBeDisabled) {
   sim::Simulator sim;
-  MptcpConnection conn(sim, apps::handover_config(/*rto_death_threshold=*/3),
-                       Rng(7));
-  conn.set_revive_on_restore(false);
+  mptcp::MptcpConnection::Config cfg =
+      apps::handover_config(/*rto_death_threshold=*/3);
+  cfg.revive_on_restore = false;
+  MptcpConnection conn(sim, cfg, Rng(7));
   conn.set_scheduler(minrtt());
 
   sim::FaultInjector faults(sim);
@@ -160,8 +161,9 @@ TEST(FaultResilienceTest, SchedulerFaultFallsBackToDefaultAndCompletes) {
 
 TEST(FaultResilienceTest, SchedulerFaultWithoutFallbackStallsButStaysSane) {
   sim::Simulator sim;
-  MptcpConnection conn(sim, apps::lossy_config(0.0), Rng(9));
-  conn.set_sched_fault_fallback(false);
+  mptcp::MptcpConnection::Config cfg = apps::lossy_config(0.0);
+  cfg.sched_fault_fallback = false;
+  MptcpConnection conn(sim, cfg, Rng(9));
   conn.set_scheduler(budget_starved_minrtt(rt::Backend::kEbpf));
   conn.write(50 * 1400);
   sim.run_until(seconds(5));

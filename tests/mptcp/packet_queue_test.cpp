@@ -1,8 +1,8 @@
-// Property test for the flat PacketQueue against a std::deque reference
-// model: randomized push/pop/erase/cursor sequences must leave the queue
-// holding exactly the reference's packets in the reference's order, with
-// every cached aggregate equal to a from-scratch recompute and the
-// intrusive membership index round-tripping (tracked mode).
+// Property test for PacketQueue against a std::deque reference model:
+// randomized push/pop/erase/scan-and-remove sequences must leave the queue
+// holding exactly the reference's packets in the reference's order, with the
+// byte total equal to a from-scratch recompute and the intrusive membership
+// index round-tripping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,61 +16,36 @@
 namespace progmp::mptcp {
 namespace {
 
-SkbPtr make_skb(std::uint64_t seq, std::int32_t size, bool flow_end = false,
-                std::uint32_t sent_mask = 0) {
+SkbPtr make_skb(std::uint64_t seq, std::int32_t size) {
   auto skb = std::make_shared<Skb>();
   skb->meta_seq = seq;
   skb->size = size;
-  skb->props.flow_end = flow_end;
-  skb->sent_mask = sent_mask;
   return skb;
 }
 
-/// Asserts queue == reference in order and content, and that every cached
-/// aggregate matches a recompute over the reference model.
+/// Asserts queue == reference in order and content, and that the byte total
+/// matches a recompute over the reference model.
 void expect_matches(const PacketQueue& queue,
-                    const std::deque<SkbPtr>& reference, bool tracked) {
+                    const std::deque<SkbPtr>& reference) {
   ASSERT_EQ(queue.size(), reference.size());
   ASSERT_EQ(queue.empty(), reference.empty());
 
   std::int64_t bytes = 0;
-  std::int64_t flow_ends = 0;
-  std::int64_t sent = 0;
-  std::uint64_t mn = 0;
-  std::uint64_t mx = 0;
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    const SkbPtr& want = reference[i];
-    const PacketQueue::Entry& got = queue.at(i);
-    ASSERT_EQ(got.skb.get(), want.get()) << "order diverges at index " << i;
-    EXPECT_EQ(got.meta_seq, want->meta_seq);
-    EXPECT_EQ(got.size, want->size);
-    EXPECT_EQ(got.flow_end, want->props.flow_end);
-    EXPECT_EQ(got.sent_mask, want->sent_mask);
-    bytes += want->size;
-    if (want->props.flow_end) ++flow_ends;
-    if (want->sent_mask != 0) ++sent;
-    if (i == 0) {
-      mn = mx = want->meta_seq;
-    } else {
-      mn = std::min(mn, want->meta_seq);
-      mx = std::max(mx, want->meta_seq);
-    }
+    ASSERT_EQ(queue.at(i).get(), reference[i].get())
+        << "order diverges at index " << i;
+    bytes += reference[i]->size;
   }
   EXPECT_EQ(queue.bytes(), bytes);
-  EXPECT_EQ(queue.flow_end_count(), flow_ends);
-  EXPECT_EQ(queue.sent_count(), sent);
-  EXPECT_EQ(queue.min_meta_seq(), mn);
-  EXPECT_EQ(queue.max_meta_seq(), mx);
 
-  // Membership: everything in the reference is a member; in tracked mode
-  // the flag agrees with membership.
+  // Membership: everything in the reference is a member and carries the
+  // flag.
   for (const SkbPtr& skb : reference) {
     EXPECT_TRUE(queue.contains(skb.get()));
-    if (tracked) EXPECT_TRUE(skb->in_q);
+    EXPECT_TRUE(skb->in_q);
   }
 
-  // The queue's own audit (mirror fields, index round-trip, aggregate
-  // recompute) must agree.
+  // The queue's own audit (index round-trip, byte recompute) must agree.
   const auto bad = queue.audit();
   EXPECT_FALSE(bad.has_value()) << *bad;
 }
@@ -78,7 +53,7 @@ void expect_matches(const PacketQueue& queue,
 TEST(PacketQueueTest, TrackedPushSetsFlagAndIndex) {
   PacketQueue queue(QueueId::kQ);
   auto a = make_skb(1, 100);
-  auto b = make_skb(2, 200, /*flow_end=*/true);
+  auto b = make_skb(2, 200);
   EXPECT_FALSE(a->in_q);
   queue.push_back(a);
   queue.push_front(b);
@@ -86,9 +61,6 @@ TEST(PacketQueueTest, TrackedPushSetsFlagAndIndex) {
   EXPECT_TRUE(b->in_q);
   EXPECT_EQ(queue.front().get(), b.get());
   EXPECT_EQ(queue.bytes(), 300);
-  EXPECT_EQ(queue.flow_end_count(), 1);
-  EXPECT_EQ(queue.min_meta_seq(), 1u);
-  EXPECT_EQ(queue.max_meta_seq(), 2u);
   EXPECT_TRUE(queue.contains(a.get()));
 
   SkbPtr popped = queue.pop_front();
@@ -112,12 +84,11 @@ TEST(PacketQueueTest, TrackedEraseIsExactAndClearsFlag) {
   EXPECT_FALSE(queue.audit().has_value());
 }
 
-void check_insert_at(PacketQueue& queue, bool tracked) {
-  SCOPED_TRACE(tracked ? "tracked" : "untracked");
+TEST(PacketQueueTest, InsertAtRestoresTheVacatedPosition) {
+  PacketQueue queue(QueueId::kQ);
   std::deque<SkbPtr> reference;
   for (std::uint64_t seq = 0; seq < 40; ++seq) {
-    reference.push_back(make_skb(seq, 100 + static_cast<std::int32_t>(seq),
-                                 seq % 7 == 0, seq % 3 == 0 ? 1u : 0u));
+    reference.push_back(make_skb(seq, 100 + static_cast<std::int32_t>(seq)));
     queue.push_back(reference.back());
   }
   // Remove from the middle, then put back where it came from, across
@@ -129,80 +100,18 @@ void check_insert_at(PacketQueue& queue, bool tracked) {
     EXPECT_EQ(queue.index_of(skb.get()), -1);
     queue.insert_at(idx, skb);
     EXPECT_EQ(queue.index_of(skb.get()), static_cast<std::int64_t>(idx));
-    EXPECT_EQ(queue.find(skb.get()), &queue.at(idx).skb);
+    EXPECT_EQ(queue.find(skb.get()), &queue.at(idx));
   }
   queue.insert_at(queue.size(), make_skb(99, 1));
-  reference.push_back(queue.at(queue.size() - 1).skb);
-  expect_matches(queue, reference, tracked);
-}
-
-TEST(PacketQueueTest, InsertAtRestoresTheVacatedPosition) {
-  PacketQueue tracked(QueueId::kQ);
-  check_insert_at(tracked, true);
-  PacketQueue untracked;
-  check_insert_at(untracked, false);
-}
-
-TEST(PacketQueueTest, UntrackedModeAllowsDuplicates) {
-  PacketQueue queue;  // subflow-queue mode
-  auto skb = make_skb(7, 500);
-  queue.push_back(skb);
-  queue.push_back(skb);  // redundant push: legal here
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.bytes(), 1000);
-  EXPECT_TRUE(queue.erase(skb.get()));  // removes one copy
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_TRUE(queue.contains(skb.get()));
-  EXPECT_TRUE(queue.erase(skb.get()));
-  EXPECT_FALSE(queue.contains(skb.get()));
-  EXPECT_FALSE(queue.erase(skb.get()));
-}
-
-TEST(PacketQueueTest, RefreshSentMaskKeepsAggregateExact) {
-  PacketQueue queue(QueueId::kQu);
-  auto skb = make_skb(3, 100);
-  queue.push_back(skb);
-  EXPECT_EQ(queue.sent_count(), 0);
-  skb->mark_sent_on(1, TimeNs{10});
-  queue.refresh_sent_mask(skb.get());
-  EXPECT_EQ(queue.sent_count(), 1);
-  EXPECT_FALSE(queue.audit().has_value());
-  skb->sent_mask = 0;  // subflow death cleared the only bit
-  queue.refresh_sent_mask(skb.get());
-  EXPECT_EQ(queue.sent_count(), 0);
-  EXPECT_FALSE(queue.audit().has_value());
-}
-
-TEST(PacketQueueTest, CursorEraseKeepsSuccessor) {
-  PacketQueue queue(QueueId::kQ);
-  std::vector<SkbPtr> skbs;
-  for (int i = 0; i < 6; ++i) {
-    skbs.push_back(make_skb(static_cast<std::uint64_t>(i), 100));
-    queue.push_back(skbs.back());
-  }
-  // Remove every even meta_seq in one pass.
-  auto cursor = queue.cursor();
-  while (cursor.valid()) {
-    if (cursor.entry().meta_seq % 2 == 0) {
-      cursor.erase_here();
-    } else {
-      cursor.next();
-    }
-  }
-  ASSERT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.at(0).meta_seq, 1u);
-  EXPECT_EQ(queue.at(1).meta_seq, 3u);
-  EXPECT_EQ(queue.at(2).meta_seq, 5u);
-  EXPECT_FALSE(skbs[0]->in_q);
-  EXPECT_TRUE(skbs[1]->in_q);
-  EXPECT_FALSE(queue.audit().has_value());
+  reference.push_back(queue.at(queue.size() - 1));
+  expect_matches(queue, reference);
 }
 
 class PacketQueueProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-/// Randomized operation sequences against the std::deque reference model.
-/// Tracked variant: the model enforces the no-duplicates precondition the
-/// connection guarantees via membership flags.
+/// Randomized operation sequences against the std::deque reference model,
+/// which keeps the no-duplicates precondition the connection guarantees via
+/// membership flags.
 TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
   Rng rng(GetParam());
   PacketQueue queue(QueueId::kQ);
@@ -213,7 +122,7 @@ TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
   std::vector<SkbPtr> outside;
 
   for (int step = 0; step < 4000; ++step) {
-    const std::int64_t op = rng.next_range(0, 9);
+    const std::int64_t op = rng.next_range(0, 8);
     if (op <= 2 || reference.empty()) {  // push_back (new or recycled)
       SkbPtr skb;
       if (!outside.empty() && rng.chance(0.5)) {
@@ -221,9 +130,7 @@ TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
         outside.pop_back();
       } else {
         skb = make_skb(next_seq++,
-                       static_cast<std::int32_t>(rng.next_range(1, 1400)),
-                       rng.chance(0.1),
-                       static_cast<std::uint32_t>(rng.next_range(0, 3)));
+                       static_cast<std::int32_t>(rng.next_range(1, 1400)));
       }
       queue.push_back(skb);
       reference.push_back(skb);
@@ -256,21 +163,13 @@ TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
       ASSERT_TRUE(queue.erase(reference[idx].get()));
       outside.push_back(reference[idx]);
       reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(idx));
-    } else if (op == 7) {  // mutate a live sent_mask + refresh
-      const auto idx = static_cast<std::size_t>(rng.next_range(
-          0, static_cast<std::int64_t>(reference.size()) - 1));
-      reference[idx]->sent_mask =
-          static_cast<std::uint32_t>(rng.next_range(0, 7));
-      queue.refresh_sent_mask(reference[idx].get());
-    } else if (op == 8) {  // cursor scan-and-remove pass
+    } else if (op == 7) {  // scan-and-remove pass: pop_at keeps the index
       const std::uint64_t keep_mod = 2 + rng.next_range(0, 2);
-      auto cursor = queue.cursor();
-      while (cursor.valid()) {
-        if (cursor.entry().meta_seq % keep_mod == 0) {
-          outside.push_back(cursor.entry().skb);
-          cursor.erase_here();
+      for (std::size_t i = 0; i < queue.size();) {
+        if (queue.at(i)->meta_seq % keep_mod == 0) {
+          outside.push_back(queue.pop_at(i));
         } else {
-          cursor.next();
+          ++i;
         }
       }
       std::erase_if(reference, [&](const SkbPtr& skb) {
@@ -283,57 +182,14 @@ TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
         reference.clear();
       }
     }
-    if (step % 64 == 0) expect_matches(queue, reference, /*tracked=*/true);
+    if (step % 64 == 0) expect_matches(queue, reference);
     // Non-members must not test as members (flag-based fast path).
     if (!outside.empty()) {
       EXPECT_FALSE(queue.contains(outside.back().get()));
       EXPECT_FALSE(outside.back()->in_q);
     }
   }
-  expect_matches(queue, reference, /*tracked=*/true);
-}
-
-/// Untracked variant: duplicates allowed, erase removes the first copy —
-/// mirrored by the deque model.
-TEST_P(PacketQueueProperty, UntrackedMatchesDequeReference) {
-  Rng rng(GetParam() ^ 0x9e3779b97f4a7c15ull);
-  PacketQueue queue;
-  std::deque<SkbPtr> reference;
-  std::vector<SkbPtr> pool;
-  for (int i = 0; i < 32; ++i) {
-    pool.push_back(make_skb(static_cast<std::uint64_t>(i),
-                            static_cast<std::int32_t>(rng.next_range(1, 1400)),
-                            rng.chance(0.2)));
-  }
-
-  for (int step = 0; step < 4000; ++step) {
-    const std::int64_t op = rng.next_range(0, 5);
-    if (op <= 2 || reference.empty()) {  // push_back, duplicates welcome
-      const SkbPtr& skb = pool[static_cast<std::size_t>(
-          rng.next_range(0, static_cast<std::int64_t>(pool.size()) - 1))];
-      queue.push_back(skb);
-      reference.push_back(skb);
-    } else if (op == 3) {  // pop_front
-      SkbPtr got = queue.pop_front();
-      ASSERT_EQ(got.get(), reference.front().get());
-      reference.pop_front();
-    } else if (op == 4) {  // erase first occurrence of a random pool packet
-      const SkbPtr& skb = pool[static_cast<std::size_t>(
-          rng.next_range(0, static_cast<std::int64_t>(pool.size()) - 1))];
-      const bool erased = queue.erase(skb.get());
-      auto it = std::find(reference.begin(), reference.end(), skb);
-      ASSERT_EQ(erased, it != reference.end());
-      if (it != reference.end()) reference.erase(it);
-    } else {  // contains must agree with the model
-      const SkbPtr& skb = pool[static_cast<std::size_t>(
-          rng.next_range(0, static_cast<std::int64_t>(pool.size()) - 1))];
-      EXPECT_EQ(queue.contains(skb.get()),
-                std::find(reference.begin(), reference.end(), skb) !=
-                    reference.end());
-    }
-    if (step % 64 == 0) expect_matches(queue, reference, /*tracked=*/false);
-  }
-  expect_matches(queue, reference, /*tracked=*/false);
+  expect_matches(queue, reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PacketQueueProperty,

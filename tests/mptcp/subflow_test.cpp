@@ -1,5 +1,5 @@
 // Subflow sender mechanics: TSQ, congestion growth, RTO behaviour, info
-// snapshots.
+// snapshots, the send queue.
 #include <gtest/gtest.h>
 
 #include "../testutil.hpp"
@@ -140,6 +140,31 @@ TEST(SubflowTest, CloseReturnsUnfinishedPackets) {
     EXPECT_FALSE(skb->acked);
   }
   EXPECT_FALSE(conn.subflow(0).established());
+}
+
+TEST(SubflowTest, PurgeAckedRemovesEveryQueuedCopy) {
+  sim::Simulator sim;
+  MptcpConnection conn(sim, one_subflow(), Rng(9));
+  conn.set_scheduler(minrtt());
+  conn.write(400 * 1400);
+  // 30 ms in, the initial window is on the wire and no ACK is back yet
+  // (40 ms RTT), so the subflow holds what it is given.
+  sim.run_until(milliseconds(30));
+  SubflowSender& sbf = conn.subflow(0);
+  ASSERT_GE(sbf.in_flight(), sbf.cc().cwnd());
+
+  auto skb = std::make_shared<Skb>();
+  skb->meta_seq = 1'000'000;
+  skb->size = 1400;
+  const std::int64_t before = sbf.queued();
+  sbf.enqueue(skb);
+  sbf.enqueue(skb);  // a redundant scheduler pushes the same packet again
+  EXPECT_EQ(sbf.queued(), before + 2);
+  EXPECT_TRUE(sbf.tracks(skb.get()));
+
+  sbf.purge_acked(skb);
+  EXPECT_EQ(sbf.queued(), before);
+  EXPECT_FALSE(sbf.tracks(skb.get()));
 }
 
 }  // namespace

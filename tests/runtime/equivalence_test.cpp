@@ -52,7 +52,6 @@ void make_env(FakeEnv& env, std::uint64_t seed) {
         for (int s = 0; s < num_subflows; ++s) {
           if (rng.chance(0.5)) skb->mark_sent_on(s, env.now);
         }
-        env.queues.refresh_sent_mask(skb.get());
       }
     }
   };
@@ -85,15 +84,15 @@ struct Execution {
 };
 
 /// Queue contents as meta_seq lists, after checking every queue's
-/// internal consistency (membership flags, intrusive index, aggregates).
+/// internal consistency (membership flags, intrusive index, byte total).
 void record_queues(const FakeEnv& env, Outcome& outcome) {
   for (const mptcp::PacketQueue* queue : {&env.q, &env.qu, &env.rq}) {
     const auto problem = queue->audit();
     EXPECT_FALSE(problem.has_value()) << *problem;
   }
-  for (const auto& e : env.q) outcome.q.push_back(e.meta_seq);
-  for (const auto& e : env.qu) outcome.qu.push_back(e.meta_seq);
-  for (const auto& e : env.rq) outcome.rq.push_back(e.meta_seq);
+  for (const auto& skb : env.q) outcome.q.push_back(skb->meta_seq);
+  for (const auto& skb : env.qu) outcome.qu.push_back(skb->meta_seq);
+  for (const auto& skb : env.rq) outcome.rq.push_back(skb->meta_seq);
 }
 
 /// `exec_budget` > 0 starves the compiled/eBPF backends; the load-time

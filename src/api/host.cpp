@@ -201,8 +201,8 @@ std::string Host::proc_dump() {
   out << "total_wire_bytes_sent: " << total_wire_bytes_sent() << "\n";
   out << "trace_events: " << host_trace_.total_emitted()
       << " (overwritten " << host_trace_.overwritten() << ")\n";
-  // Event-core health: a heap depth far above pending means a cancel-heavy
-  // workload is building lazy-deletion backlog.
+  // Event-core health. The heap holds live events only, so heap_depth equals
+  // pending here.
   out << "sim: executed=" << sim_.executed() << " pending=" << sim_.pending()
       << " cancelled=" << sim_.cancelled()
       << " heap_depth=" << sim_.heap_depth() << "\n";

@@ -59,12 +59,31 @@ void install_connection_invariants(InvariantChecker& checker,
   checker.add_check(
       "byte_conservation", [&conn]() -> std::optional<std::string> {
         std::int64_t outstanding = 0;
-        for (const auto& [seq, skb] : conn.unacked()) outstanding += skb->size;
+        for (const SkbPtr& skb : conn.unacked()) outstanding += skb->size;
         const std::int64_t accounted =
             static_cast<std::int64_t>(conn.meta_una_bytes()) + outstanding;
         if (accounted != conn.written_bytes()) {
           return "meta_una_bytes + unacked = " + std::to_string(accounted) +
                  " != written " + std::to_string(conn.written_bytes());
+        }
+        return std::nullopt;
+      });
+
+  checker.add_check(
+      "unacked_ring", [&conn]() -> std::optional<std::string> {
+        const auto& ring = conn.unacked();
+        if (conn.meta_una() + ring.size() != conn.next_meta_seq()) {
+          return "unacked ring holds " + std::to_string(ring.size()) +
+                 " packets for meta_seqs " + std::to_string(conn.meta_una()) +
+                 ".." + std::to_string(conn.next_meta_seq()) + " (exclusive)";
+        }
+        std::uint64_t expect = conn.meta_una();
+        for (const SkbPtr& skb : ring) {
+          if (skb->meta_seq != expect) {
+            return skb_id(*skb) + " at unacked ring position of meta_seq " +
+                   std::to_string(expect);
+          }
+          ++expect;
         }
         return std::nullopt;
       });
@@ -110,7 +129,7 @@ void install_connection_invariants(InvariantChecker& checker,
       "sent_mask_sanity", [&conn]() -> std::optional<std::string> {
         const std::uint32_t valid =
             (1u << static_cast<unsigned>(conn.subflow_count())) - 1u;
-        for (const auto& [seq, skb] : conn.unacked()) {
+        for (const SkbPtr& skb : conn.unacked()) {
           if ((skb->sent_mask & ~valid) != 0) {
             return skb_id(*skb) + " sent_mask " +
                    std::to_string(skb->sent_mask) +
@@ -213,7 +232,7 @@ void install_connection_invariants(InvariantChecker& checker,
 
   checker.add_check(
       "no_stranded_packets", [&conn]() -> std::optional<std::string> {
-        for (const auto& [seq, skb] : conn.unacked()) {
+        for (const SkbPtr& skb : conn.unacked()) {
           if (skb->acked || skb->dropped) continue;
           if (skb->in_q || skb->in_rq) continue;
           bool owned = conn.receiver().has_received(skb->meta_seq);

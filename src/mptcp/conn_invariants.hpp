@@ -26,6 +26,9 @@
 // Strided checks (full scans; their violations are persistent, so a sparser
 // cadence still catches them):
 //  * byte_conservation — meta_una_bytes + sum(unacked sizes) == written;
+//  * unacked_ring — the unacked ring holds exactly the meta_seqs
+//    meta_una .. next_meta_seq-1, in order (what lets the meta ACK pop its
+//    front and a mapping failure index it by meta_seq - meta_una);
 //  * queue_membership — Q/QU/RQ entries carry the matching membership flag,
 //    hold no duplicates and no ACKed/DROPped packets, and qu_bytes matches
 //    the actual QU byte sum;

@@ -246,7 +246,7 @@ void MptcpConnection::write(std::int64_t bytes, const SkbProps& props) {
     skb->props.flow_end = props.flow_end && remaining == 0;
     skb->queued_at = sim_.now();
     queues_.q.push_back(skb);
-    unacked_.emplace(skb->meta_seq, skb);
+    unacked_.push_back(skb);
   }
   written_bytes_ += bytes;
   trigger({TriggerKind::kDataPushed, -1});
@@ -703,15 +703,15 @@ void MptcpConnection::handle_meta_ack(std::uint64_t meta_ack,
                                       std::int64_t rwnd,
                                       std::int64_t wnd_stamp) {
   apply_window(wnd_stamp, rwnd);
+  // The receiver acknowledges only data it received, never past what was
+  // written, so the ring's front is always the packet at meta_una_.
+  PROGMP_CHECK(meta_ack <= next_meta_seq_);
   while (meta_una_ < meta_ack) {
-    auto it = unacked_.find(meta_una_);
-    if (it != unacked_.end()) {
-      const SkbPtr skb = it->second;
-      skb->acked = true;
-      meta_una_bytes_ = skb->byte_offset + static_cast<std::uint64_t>(skb->size);
-      detach_everywhere(skb);
-      unacked_.erase(it);
-    }
+    const SkbPtr skb = std::move(unacked_.front());
+    unacked_.pop_front();
+    skb->acked = true;
+    meta_una_bytes_ = skb->byte_offset + static_cast<std::uint64_t>(skb->size);
+    detach_everywhere(skb);
     ++meta_una_;
   }
 }
@@ -729,9 +729,11 @@ void MptcpConnection::on_mapping_failure(int slot, std::uint64_t meta_seq,
   // front of the meta sending queue — NOT the reinjection queue: specs
   // without a reinjection clause (opportunistic_redundant only ever pops Q)
   // must still carry the packet after the fallback below pins the survivor.
-  auto it = unacked_.find(meta_seq);
-  if (it != unacked_.end()) {
-    const SkbPtr& skb = it->second;
+  // A failure can name a meta_seq that is already cumulatively acked (a
+  // redundant copy refused on one path after another path delivered it):
+  // it is off the ring, and there is nothing to requeue.
+  if (meta_seq >= meta_una_ && meta_seq < next_meta_seq_) {
+    const SkbPtr& skb = unacked_[meta_seq - meta_una_];
     if (!skb->acked && !skb->dropped && !skb->in_rq && !skb->in_q) {
       queues_.q.push_front(skb);
       trigger({TriggerKind::kDataPushed, slot});

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -309,10 +308,11 @@ class MptcpConnection {
   [[nodiscard]] const PacketQueue& reinjection_queue() const {
     return queues_.rq;
   }
-  [[nodiscard]] const std::unordered_map<std::uint64_t, SkbPtr>& unacked()
-      const {
-    return unacked_;
-  }
+  /// Written, not yet cumulatively acked packets in meta_seq order: entry i
+  /// carries meta_seq meta_una() + i.
+  [[nodiscard]] const std::deque<SkbPtr>& unacked() const { return unacked_; }
+  [[nodiscard]] std::uint64_t meta_una() const { return meta_una_; }
+  [[nodiscard]] std::uint64_t next_meta_seq() const { return next_meta_seq_; }
   /// Bytes in flight at the meta level — the QU byte aggregate, maintained
   /// incrementally by the queue layer.
   [[nodiscard]] std::int64_t qu_bytes() const { return queues_.qu.bytes(); }
@@ -531,7 +531,9 @@ class MptcpConnection {
   /// the bundle is the single QueueId -> queue mapping shared with the
   /// scheduler context.
   QueueBundle queues_;
-  std::unordered_map<std::uint64_t, SkbPtr> unacked_;  ///< meta_seq -> skb
+  /// Seq-indexed ring over [meta_una_, next_meta_seq_): write() assigns
+  /// meta_seqs densely and appends, the cumulative meta ACK pops the front.
+  std::deque<SkbPtr> unacked_;
 
   std::vector<std::int64_t> registers_;
 

@@ -10,18 +10,20 @@ constexpr EventId encode(std::uint32_t slot, std::uint32_t gen) {
 }
 }  // namespace
 
-EventId Simulator::schedule_at(TimeNs at, Callback fn) {
-  PROGMP_CHECK_MSG(at >= now_, "event scheduled in the past");
-  std::uint32_t idx;
+std::uint32_t Simulator::acquire_slot() {
   if (!free_slots_.empty()) {
-    idx = free_slots_.back();
+    const std::uint32_t idx = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    idx = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    return idx;
   }
+  const auto idx = static_cast<std::uint32_t>(slots_.size());
+  slots_.emplace_back();
+  heap_pos_.push_back(kOffHeap);
+  return idx;
+}
+
+EventId Simulator::arm(std::uint32_t idx, TimeNs at) {
   Slot& s = slots_[idx];
-  s.fn = std::move(fn);
   s.armed = true;
   heap_.push_back(Entry{at, next_seq_++, idx, s.gen});
   sift_up(heap_.size() - 1);
@@ -34,10 +36,10 @@ void Simulator::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
 void Simulator::sift_down(std::size_t i) {
@@ -52,10 +54,30 @@ void Simulator::sift_down(std::size_t i) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
     if (!earlier(heap_[best], e)) break;
-    heap_[i] = heap_[best];
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = e;
+  place(i, e);
+}
+
+void Simulator::remove_at(std::size_t i) {
+  heap_pos_[heap_[i].slot] = kOffHeap;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // removed the last entry itself
+  heap_[i] = last;
+  if (i > 0 && earlier(last, heap_[(i - 1) / 4])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+}
+
+void Simulator::release(Slot& s, std::uint32_t slot_idx) {
+  // Destroy before freeing: a destructor that schedules must not be handed
+  // the slot it is still running in.
+  s.fn.reset();
+  free_slots_.push_back(slot_idx);
 }
 
 void Simulator::cancel(EventId id) {
@@ -64,48 +86,44 @@ void Simulator::cancel(EventId id) {
   const auto idx = static_cast<std::uint32_t>(decoded & 0xFFFFFFFFu);
   const auto gen = static_cast<std::uint32_t>(decoded >> 32);
   if (idx >= slots_.size()) return;  // never issued: no-op
-  const Slot& s = slots_[idx];
-  if (s.gen != gen || !s.armed) return;  // already fired or cancelled: no-op
-  // Free the slot now — the callback (and any packet memory a long-armed
-  // timer captured) dies here, not when the stale heap entry surfaces.
-  take_and_free(idx);
+  Slot& s = slots_[idx];
+  if (s.gen != gen || !s.armed) return;  // fired, firing or cancelled: no-op
+  // An entry already popped into a batch is off the heap; the batch's
+  // generation re-check skips it.
+  if (heap_pos_[idx] != kOffHeap) remove_at(heap_pos_[idx]);
+  s.armed = false;
+  ++s.gen;  // the id, and a batch copy of the entry, go stale
   ++cancelled_;
   --live_;
+  // The callback (and any packet memory a long-armed timer captured) dies
+  // here.
+  release(s, idx);
 }
 
-Simulator::Callback Simulator::take_and_free(std::uint32_t slot_idx) {
-  Slot& s = slots_[slot_idx];
-  Callback fn = std::move(s.fn);  // leaves s.fn empty
+void Simulator::exec(Entry e) {
+  // Disarm before invoking, so a self-cancel from inside the callback is the
+  // documented no-op; the slot stays off the free list until the callback
+  // returned, so nothing the callback schedules can land in it. The deque
+  // never relocates slots, so `s` survives the pool growing meanwhile.
+  Slot& s = slots_[e.slot];
   s.armed = false;
-  ++s.gen;  // outstanding ids and heap entries for this slot go stale
-  free_slots_.push_back(slot_idx);
-  return fn;
-}
-
-void Simulator::exec(const Entry& e) {
-  // Free the slot before invoking: the callback may reschedule into it, and
-  // a self-cancel from inside the callback is the documented no-op.
-  Callback fn = take_and_free(e.slot);
+  ++s.gen;
   now_ = e.at;
   ++executed_;
   --live_;
-  fn();
+  s.fn();
   if (post_event_hook_) post_event_hook_();
+  release(s, e.slot);
 }
 
 bool Simulator::step() {
-  prune_head();
   if (heap_.empty()) return false;
   exec(pop_entry());
   return true;
 }
 
 void Simulator::run_until(TimeNs deadline) {
-  for (;;) {
-    prune_head();
-    // The head is live here, so its timestamp is trustworthy: a cancelled
-    // entry at the head can never admit an over-deadline event anymore.
-    if (heap_.empty() || heap_.front().at > deadline) break;
+  while (!heap_.empty() && heap_.front().at <= deadline) {
     // Batch-dispatch the whole instant: pop every entry for time t in one
     // pass (ascending seq — FIFO), then execute. Events the batch schedules
     // for t itself carry higher seqs and form the next batch, so FIFO order

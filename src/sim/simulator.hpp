@@ -8,21 +8,32 @@
 // The hot path is flat and allocation-free for small callbacks:
 //
 //  * Callbacks live in generation-counted slots (a reusable pool indexed by
-//    the low half of the EventId); the binary heap orders 24-byte POD
+//    the low half of the EventId); the 4-ary heap orders 24-byte POD
 //    entries, so sifting never touches a callback, an allocator or a
 //    refcount.
-//  * cancel() is O(1): it bumps the slot's liveness and destroys the
-//    callback immediately, releasing anything it captured (SkbPtrs of
-//    long-armed timers included). The heap entry stays behind as a stale
-//    record and is discarded when it surfaces (lazy deletion).
-//  * EventFn stores callables up to kInlineBytes inline — scheduling a
-//    typical transport lambda (a couple of pointers plus a bound
-//    std::function) costs zero heap allocations.
+//  * The heap holds live events only. A compact per-slot position index,
+//    kept current by every sift, lets cancel() remove its entry in place
+//    (swap in the last entry, re-sift: O(log n)) and destroy the callback
+//    immediately, releasing anything it captured (SkbPtrs of long-armed
+//    timers included). heap_depth() == pending() whenever no batch is
+//    being dispatched.
+//  * schedule_at()/schedule_after() construct the callable directly in its
+//    slot, and the event runs it there: no relocation between scheduling
+//    and execution. EventFn stores callables up to kInlineBytes inline —
+//    scheduling a typical transport lambda (a couple of pointers plus a
+//    bound std::function) costs zero heap allocations.
+//  * Lifetime of a firing slot: it is disarmed (generation bumped, so a
+//    self-cancel is a no-op) before its callback runs, and destroyed and
+//    returned to the free list only after the callback (and the post-event
+//    hook) returned. Slots live in a deque, which never relocates them, so
+//    callbacks may grow the pool while they run.
 //  * run_until()/run_all() drain same-timestamp events in batches: all
 //    entries for the current instant are popped in one pass (FIFO order
 //    preserved, including against events the batch itself schedules), which
 //    keeps link-serialization chains and ACK storms from interleaving heap
-//    pushes with single-entry pops.
+//    pushes with single-entry pops. A popped entry leaves the heap before it
+//    runs, so a batch-mate may still cancel it; the entry's generation is
+//    re-checked right before execution.
 #pragma once
 
 #include <algorithm>
@@ -64,16 +75,7 @@ class EventFn {
                                  !std::is_same_v<std::decay_t<F>, std::nullptr_t>,
                              int> = 0>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Target = std::decay_t<F>;
-    if constexpr (sizeof(Target) <= kInlineBytes &&
-                  alignof(Target) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Target>) {
-      ::new (static_cast<void*>(buf_)) Target(std::forward<F>(f));
-      ops_ = inline_ops<Target>();
-    } else {
-      heap_ = new Target(std::forward<F>(f));
-      ops_ = heap_ops<Target>();
-    }
+    emplace(std::forward<F>(f));
   }
 
   EventFn(EventFn&& o) noexcept { move_from(o); }
@@ -93,6 +95,24 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
 
   ~EventFn() { reset(); }
+
+  /// Destroys the current target, if any, and constructs `f`'s decayed type
+  /// directly in this EventFn's storage (inline or on the heap, by the same
+  /// rule as the converting constructor).
+  template <class F>
+  void emplace(F&& f) {
+    using Target = std::decay_t<F>;
+    reset();
+    if constexpr (sizeof(Target) <= kInlineBytes &&
+                  alignof(Target) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Target>) {
+      ::new (static_cast<void*>(buf_)) Target(std::forward<F>(f));
+      ops_ = inline_ops<Target>();
+    } else {
+      heap_ = new Target(std::forward<F>(f));
+      ops_ = heap_ops<Target>();
+    }
+  }
 
   /// Destroys the target (releasing everything it captured) and empties.
   void reset() {
@@ -172,19 +192,32 @@ class Simulator {
 
   [[nodiscard]] TimeNs now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (must not be in the past).
-  EventId schedule_at(TimeNs at, Callback fn);
-
-  /// Schedules `fn` after `delay` (>= 0) from now.
-  EventId schedule_after(TimeNs delay, Callback fn) {
-    PROGMP_CHECK(delay >= TimeNs{0});
-    return schedule_at(now_ + delay, std::move(fn));
+  /// Schedules `fn` at absolute time `at` (must not be in the past). The
+  /// callable is constructed directly in its event slot.
+  template <class F>
+  EventId schedule_at(TimeNs at, F&& fn) {
+    PROGMP_CHECK_MSG(at >= now_, "event scheduled in the past");
+    const std::uint32_t idx = acquire_slot();
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      slots_[idx].fn = std::forward<F>(fn);
+    } else {
+      slots_[idx].fn.emplace(std::forward<F>(fn));
+    }
+    return arm(idx, at);
   }
 
-  /// Cancels a pending event, immediately destroying its callback (and
-  /// releasing anything the callback captured). Cancelling an already-fired
-  /// or unknown id is a harmless no-op (timers race with the events that
-  /// disarm them) and does not perturb pending().
+  /// Schedules `fn` after `delay` (>= 0) from now.
+  template <class F>
+  EventId schedule_after(TimeNs delay, F&& fn) {
+    PROGMP_CHECK(delay >= TimeNs{0});
+    return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Cancels a pending event in O(log n): its heap entry is removed and its
+  /// callback destroyed at once (releasing anything the callback captured).
+  /// Cancelling an already-fired, firing or unknown id is a harmless no-op
+  /// (timers race with the events that disarm them) and does not perturb
+  /// pending().
   void cancel(EventId id);
 
   /// Runs the next pending event. Returns false when the queue is empty.
@@ -192,7 +225,7 @@ class Simulator {
 
   /// Runs all events with time <= deadline, then advances the clock to the
   /// deadline even if the queue drained earlier. Never executes an event
-  /// past the deadline, cancelled queue heads notwithstanding.
+  /// past the deadline.
   void run_until(TimeNs deadline);
 
   /// Runs until the event queue is empty.
@@ -208,8 +241,8 @@ class Simulator {
   /// counted) — observability for the proc dump.
   [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
 
-  /// Current heap length including stale (cancelled, not yet discarded)
-  /// entries — the lazy-deletion backlog is heap_depth() - pending().
+  /// Current heap length. The heap holds live events only, so outside a
+  /// same-instant batch this equals pending().
   [[nodiscard]] std::size_t heap_depth() const { return heap_.size(); }
 
   /// Hook invoked after every executed event, with the clock still at the
@@ -224,7 +257,7 @@ class Simulator {
     TimeNs at;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
     std::uint32_t slot;
-    std::uint32_t gen;
+    std::uint32_t gen;  // re-checked for entries popped into a batch
   };
 
   static bool earlier(const Entry& a, const Entry& b) {
@@ -238,15 +271,28 @@ class Simulator {
     bool armed = false;
   };
 
+  /// heap_pos_ value of a slot whose entry is not in the heap (free, or
+  /// popped into a batch and awaiting execution).
+  static constexpr std::uint32_t kOffHeap = 0xFFFFFFFFu;
+
+  /// True once the entry's event was cancelled (or fired) after it was
+  /// popped into a batch.
   [[nodiscard]] bool stale(const Entry& e) const {
     const Slot& s = slots_[e.slot];
     return s.gen != e.gen || !s.armed;
   }
 
-  /// Pops stale (cancelled) entries off the heap head so the head, if any,
-  /// is a live event whose time can be trusted against a deadline.
-  void prune_head() {
-    while (!heap_.empty() && stale(heap_.front())) pop_entry();
+  /// Takes a free slot (reusing the most recently freed one) or grows the
+  /// pool.
+  std::uint32_t acquire_slot();
+
+  /// Arms the slot whose callback was just constructed and pushes its heap
+  /// entry for time `at`.
+  EventId arm(std::uint32_t idx, TimeNs at);
+
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    heap_pos_[e.slot] = static_cast<std::uint32_t>(i);
   }
 
   // 4-ary min-heap on (at, seq): shallower than a binary heap and the four
@@ -255,22 +301,21 @@ class Simulator {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
+  /// Removes the heap entry at position i: the last entry takes its place
+  /// and is sifted whichever way restores the heap order.
+  void remove_at(std::size_t i);
+
   Entry pop_entry() {
-    Entry e = heap_.front();
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_.front() = last;
-      sift_down(0);
-    }
+    const Entry e = heap_.front();
+    remove_at(0);
     return e;
   }
 
-  /// Releases the slot for reuse (bumping the generation so outstanding ids
-  /// and heap entries go stale) and returns its callback.
-  Callback take_and_free(std::uint32_t slot_idx);
+  /// Destroys the slot's callback and returns the slot to the free list.
+  /// The caller has already disarmed it (and bumped its generation).
+  void release(Slot& s, std::uint32_t slot_idx);
 
-  void exec(const Entry& e);
+  void exec(Entry e);
 
   TimeNs now_{0};
   std::uint64_t next_seq_ = 0;
@@ -278,6 +323,7 @@ class Simulator {
   std::uint64_t cancelled_ = 0;
   std::size_t live_ = 0;
   std::vector<Entry> heap_;
+  std::vector<std::uint32_t> heap_pos_;  ///< slot -> heap index or kOffHeap
   std::vector<Entry> batch_;  ///< same-timestamp dispatch scratch
   // deque: slots never relocate when the pool grows mid-callback.
   std::deque<Slot> slots_;

@@ -105,8 +105,8 @@ TEST(ChaosSoakTest, SameSeedSamePlanAndVerdict) {
 }
 
 TEST(ChaosSoakTest, OptimizedQueueReplaysPlansBitIdentically) {
-  // The event core's lazy-deletion heap, slot recycling and same-timestamp
-  // batch dispatch must not perturb execution order: replaying the same plan
+  // The event core's in-place heap removal, slot recycling and
+  // same-timestamp batch dispatch must not perturb execution order: replaying the same plan
   // must produce a byte-identical event trace, not merely the same verdict.
   // Several seeds so the check covers plans with heavy cancel traffic
   // (flaps re-arm and disarm RTOs constantly — the slot-reuse hot case).

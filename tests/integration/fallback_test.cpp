@@ -147,6 +147,58 @@ TEST(FallbackTest, RedundantDuplicateCopiesAreHarvestedNotStranded) {
   EXPECT_TRUE(checker.ok()) << checker.total_violations() << " violation(s)";
 }
 
+TEST(FallbackTest, ChecksumFailureOnAckedRedundantCopyRequeuesNothing) {
+  // A payload-rewriting proxy on the slow path corrupts the redundant
+  // copies, which arrive after their fast twins were delivered and
+  // cumulatively acked. The mapping failure then names a meta_seq that has
+  // already left the unacked ring: it must neither index outside the ring
+  // nor requeue anything — the fallback alone is the reaction.
+  sim::Simulator sim;
+  mptcp::MptcpConnection conn(sim, fallback_config(), Rng(21));
+  const auto spec = sched::specs::find_spec("redundant");
+  ASSERT_TRUE(spec.has_value());
+  conn.set_scheduler(
+      test::must_load(spec->source, rt::Backend::kEbpf, "redundant"));
+
+  InvariantChecker checker;
+  mptcp::install_connection_invariants(checker, conn);
+  bool failure_seen = false;
+  std::uint64_t una_at_failure = 0;
+  std::size_t queued_at_failure = 0;
+  std::int64_t wire_at_failure = 0;
+  sim.set_post_event_hook([&] {
+    checker.run(sim.now());
+    if (!failure_seen && conn.receiver().csum_fail_segments() > 0) {
+      failure_seen = true;
+      una_at_failure = conn.meta_una();
+      queued_at_failure = conn.q_len() + conn.rq_len();
+      wire_at_failure = conn.wire_bytes_sent();
+    }
+  });
+
+  // Installed before the first write, so even the initial burst is hit.
+  conn.path(1).forward.set_tamper(
+      {sim::Link::TamperKind::kRewritePayload, /*rate=*/1.0});
+
+  const std::int64_t total = 8 * 1400;
+  conn.write(total);
+  sim.run_until(seconds(10));
+  checker.force_run(sim.now());
+
+  ASSERT_TRUE(failure_seen);
+  // The precondition: by the first failure every packet was acked, so the
+  // failing meta_seq lies below meta_una and the ring is empty.
+  EXPECT_EQ(una_at_failure, conn.next_meta_seq());
+  EXPECT_TRUE(conn.unacked().empty());
+  EXPECT_EQ(queued_at_failure, 0u);
+  EXPECT_EQ(conn.wire_bytes_sent(), wire_at_failure)
+      << "acked data went back on the wire";
+  EXPECT_EQ(conn.fallbacks(), 1);
+  EXPECT_EQ(conn.fallback_survivor(), 0);
+  EXPECT_EQ(conn.delivered_bytes(), total);
+  EXPECT_TRUE(checker.ok()) << checker.total_violations() << " violation(s)";
+}
+
 TEST(FallbackTest, AckOptionStrippingIsDetectedBySender) {
   // The middlebox sits on the ACK path: DATA_ACKs lose their MPTCP option
   // while the TCP header survives, so the receiver sees clean data and only

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
+
+#include "core/rng.hpp"
 
 namespace progmp::sim {
 namespace {
@@ -152,7 +158,7 @@ TEST(SimulatorTest, CancelReleasesCallbackImmediately) {
   EXPECT_TRUE(watch.expired())
       << "cancelled callback still pins its captured state";
 
-  sim.run_until(seconds(61));  // the stale entry drains without incident
+  sim.run_until(seconds(61));  // nothing left to fire: the entry is gone
   EXPECT_EQ(sim.executed(), 0u);
   EXPECT_EQ(sim.pending(), 0u);
 }
@@ -217,6 +223,7 @@ TEST(SimulatorTest, CancelStormKeepsCountersCoherent) {
     ++cancelled_live;
   }
   EXPECT_EQ(sim.pending(), 300u - cancelled_live);
+  EXPECT_EQ(sim.heap_depth(), sim.pending());  // cancels leave no entry behind
   sim.run_all();
   EXPECT_EQ(static_cast<std::size_t>(fired), 300u - cancelled_live);
   EXPECT_EQ(sim.pending(), 0u);
@@ -227,6 +234,200 @@ TEST(SimulatorTest, CancelStormKeepsCountersCoherent) {
   for (const EventId id : ids) sim.cancel(id);
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(sim.cancelled(), cancelled_live);
+}
+
+// Reference model for the event core: a std::multimap keyed on (at, seq)
+// holds exactly the events that must still fire, and its first entry is the
+// one that must fire next. The harness bumps `seq` on every schedule, just as
+// the simulator does, so the key order is the simulator's contract: time
+// order, FIFO among equal times — batches and in-place cancels included.
+class SimulatorModel {
+ public:
+  struct Tally {
+    int fired = 0;
+    int same_instant_cancels = 0;  ///< a callback cancelling an event due now
+    int self_cancels = 0;
+    int rearms = 0;  ///< cancel + schedule of the same logical timer
+    int bursts = 0;  ///< callbacks that scheduled enough to grow the pool
+  };
+
+  explicit SimulatorModel(std::uint64_t seed) : rng_(seed) {}
+
+  /// Runs `ops` random top-level operations, then drains the queue. Returns
+  /// what the run exercised.
+  Tally run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      top_level_op();
+      // Outside a dispatch the heap holds exactly the live events.
+      EXPECT_EQ(sim_.pending(), model_.size()) << "after op " << i;
+      EXPECT_EQ(sim_.heap_depth(), sim_.pending()) << "after op " << i;
+    }
+    sim_.run_all();
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(sim_.pending(), 0u);
+    EXPECT_EQ(sim_.heap_depth(), 0u);
+    EXPECT_EQ(fired_, expected_) << "execution order diverged from the model";
+    EXPECT_EQ(bad_payloads_, 0) << "a callback's captured state changed "
+                                   "while it ran";
+    EXPECT_EQ(sim_.executed(), static_cast<std::uint64_t>(tally_.fired));
+    return tally_;
+  }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (at ns, seq)
+  using Model = std::multimap<Key, int>;               // -> token
+  static constexpr int kTimers = 4;
+  static constexpr std::size_t kPopulationCap = 300;
+  static constexpr int kBurst = 200;
+
+  static std::uint64_t tag_for(int token) {
+    return 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(token + 1);
+  }
+
+  TimeNs random_at() {
+    // Few distinct offsets, so timestamps collide often.
+    return sim_.now() + microseconds(250 * rng_.next_range(0, 4));
+  }
+
+  int schedule(TimeNs at) {
+    const int token = static_cast<int>(ids_.size());
+    auto fire = [this, token, tag = tag_for(token)] {
+      const int me = token;
+      on_fire(me);
+      // The callback object lives in its slot until it returns, even if it
+      // grew the slot pool meanwhile: nothing may reuse or move it.
+      if (token != me || tag != tag_for(me)) ++bad_payloads_;
+    };
+    const EventId id = rng_.chance(0.5)
+                           ? sim_.schedule_at(at, std::move(fire))
+                           : sim_.schedule_after(at - sim_.now(), fire);
+    ids_.push_back(id);
+    where_.push_back(model_.emplace(Key{at.ns(), seq_++}, token));
+    return token;
+  }
+
+  void cancel(int token) {
+    sim_.cancel(ids_[static_cast<std::size_t>(token)]);
+    auto& it = where_[static_cast<std::size_t>(token)];
+    if (it != model_.end()) {
+      model_.erase(it);
+      it = model_.end();
+    }
+  }
+
+  int random_token() {
+    return static_cast<int>(rng_.next_below(ids_.size()));
+  }
+
+  void rearm_timer() {
+    int& timer = timers_[rng_.next_below(kTimers)];
+    if (timer >= 0) cancel(timer);
+    timer = schedule(random_at());
+    ++tally_.rearms;
+  }
+
+  void top_level_op() {
+    switch (rng_.next_below(6)) {
+      case 0:
+      case 1:
+        schedule(random_at());
+        break;
+      case 2:
+        if (!ids_.empty()) cancel(random_token());  // often before it fires
+        break;
+      case 3:
+        rearm_timer();
+        break;
+      case 4:
+        sim_.step();
+        break;
+      default:
+        sim_.run_until(sim_.now() + microseconds(250 * rng_.next_range(0, 3)));
+        break;
+    }
+  }
+
+  void on_fire(int token) {
+    auto& it = where_[static_cast<std::size_t>(token)];
+    if (it == model_.end()) {
+      ADD_FAILURE() << "cancelled token " << token << " fired";
+      return;
+    }
+    expected_.push_back(model_.begin()->second);
+    fired_.push_back(token);
+    EXPECT_EQ(sim_.now().ns(), it->first.first);
+    model_.erase(it);
+    it = model_.end();
+    ++tally_.fired;
+    // Batch-mates popped with this event are off the heap but still live.
+    EXPECT_EQ(sim_.pending(), model_.size());
+    EXPECT_LE(sim_.heap_depth(), sim_.pending());
+
+    const int actions = static_cast<int>(rng_.next_below(3));
+    for (int a = 0; a < actions; ++a) {
+      const bool grow = model_.size() < kPopulationCap;
+      switch (rng_.next_below(6)) {
+        case 0:
+          if (grow) schedule(random_at());
+          break;
+        case 1: {
+          const int victim = random_token();
+          const auto& vit = where_[static_cast<std::size_t>(victim)];
+          if (vit != model_.end() && vit->first.first == sim_.now().ns()) {
+            ++tally_.same_instant_cancels;
+          }
+          cancel(victim);
+          break;
+        }
+        case 2:
+          cancel(token);  // self-cancel: a no-op
+          ++tally_.self_cancels;
+          break;
+        case 3:
+          if (grow) rearm_timer();
+          break;
+        case 4:
+          if (grow && rng_.chance(0.05)) {
+            for (int b = 0; b < kBurst; ++b) schedule(random_at());
+            ++tally_.bursts;
+          }
+          break;
+        default:
+          break;
+      }
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  Model model_;
+  std::uint64_t seq_ = 0;
+  std::vector<EventId> ids_;              ///< token -> simulator id
+  std::vector<Model::iterator> where_;    ///< token -> model entry or end
+  int timers_[kTimers] = {-1, -1, -1, -1};  ///< logical timers -> token
+  std::vector<int> fired_;
+  std::vector<int> expected_;
+  int bad_payloads_ = 0;
+  Tally tally_;
+};
+
+TEST(SimulatorTest, MatchesReferenceModelUnderRandomOperations) {
+  SimulatorModel::Tally total;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SimulatorModel::Tally t = SimulatorModel(seed).run(1500);
+    total.fired += t.fired;
+    total.same_instant_cancels += t.same_instant_cancels;
+    total.self_cancels += t.self_cancels;
+    total.rearms += t.rearms;
+    total.bursts += t.bursts;
+  }
+  // The run must actually have exercised every path the model checks.
+  EXPECT_GT(total.fired, 10000);
+  EXPECT_GT(total.same_instant_cancels, 0);
+  EXPECT_GT(total.self_cancels, 0);
+  EXPECT_GT(total.rearms, 0);
+  EXPECT_GT(total.bursts, 0);
 }
 
 TEST(SimulatorDeathTest, SchedulingInThePastAborts) {

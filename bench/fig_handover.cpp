@@ -143,7 +143,7 @@ int main() {
   const Result frozen = run("minrtt", /*rto_death_threshold=*/0);
   const Result resilient = run("minrtt", /*rto_death_threshold=*/3);
   // Probe-proven revival: the restore is only a hint, re-admission waits for
-  // answered keepalive probes (probe_required_acks sane echoes).
+  // answered keepalive probes (kProbeRequiredAcks sane echoes).
   const Result probed =
       run("minrtt", /*rto_death_threshold=*/3, /*probe_revival=*/true);
   // The silent blackout: total loss with no link-down/up signal at all.
@@ -274,7 +274,7 @@ int main() {
   ok &= check_shape(
       "probe-proven recovery from the silent blackout is bounded by the "
       "probe schedule (fresh wifi data within 3 s of the heal, i.e. "
-      "probe_interval_max + the required-acks proof)",
+      "kProbeIntervalMax + the required-acks proof)",
       silent_probed.recovery_latency >= TimeNs{0} &&
           silent_probed.recovery_latency < seconds(3));
   return ok ? 0 : 1;

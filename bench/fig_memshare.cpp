@@ -75,9 +75,8 @@ SweepRow run_sweep_point(int conns, int frac_pct, bool mixed_priority,
 
   const std::int64_t aggregate = kDemandBytes * conns;
   api::Host::Options opts;
-  opts.host_recv_mem_bytes = aggregate * frac_pct / 100;
-  opts.recv_autotune = true;
-  opts.mem_shed = true;
+  opts.mem_pool.pool_bytes = aggregate * frac_pct / 100;
+  opts.mem_pool.shed_enabled = true;
   api::Host host(sim, api, Rng(0x3E3A11 + static_cast<std::uint64_t>(conns)),
                  opts);
   apps::install_fleet_network(host.network());
@@ -86,7 +85,7 @@ SweepRow run_sweep_point(int conns, int frac_pct, bool mixed_priority,
   row.conns = conns;
   row.frac_pct = frac_pct;
   row.mixed_priority = mixed_priority;
-  row.pool_bytes = opts.host_recv_mem_bytes;
+  row.pool_bytes = opts.mem_pool.pool_bytes;
 
   std::vector<mptcp::MptcpConnection*> admitted;
   std::vector<int> priorities;
@@ -95,6 +94,7 @@ SweepRow run_sweep_point(int conns, int frac_pct, bool mixed_priority,
     mptcp::MptcpConnection::Config cfg = apps::fleet_user_config();
     cfg.recv_priority = mixed_priority ? (i % 2 == 0 ? 1 : 4) : 1;
     cfg.receiver.recv_buf_bytes = kDemandBytes;
+    cfg.receiver.autotune = true;
     std::string error;
     mptcp::MptcpConnection* conn = host.open_connection(cfg, "minrtt", &error);
     if (conn == nullptr) {

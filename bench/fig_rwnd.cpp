@@ -169,7 +169,7 @@ int main() {
       probed.delivered == probed.written && probed.probes > 0);
   ok &= check_shape(
       "recovery latency is bounded by the probe cadence (last delivery "
-      "within persist_interval_max + 2 s of the heal at t=3 s)",
+      "within kPersistIntervalMax + 2 s of the heal at t=3 s)",
       probed.last_delivery > seconds(3) &&
           probed.last_delivery < seconds(3 + 2 + 2));
   bool backoff_ok = probed.probe_times.size() >= 4;

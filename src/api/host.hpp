@@ -47,22 +47,14 @@ class Host {
     std::size_t trace_capacity = 1 << 18;
 
     // ---- Receive-memory pool (RecvMemPool) ---------------------------------
-    /// Total receive memory shared by all connections. 0 (the default)
-    /// disables the pool entirely: every connection keeps its private
-    /// static recv_buf_bytes — the seed behaviour.
-    std::int64_t host_recv_mem_bytes = 0;
-    /// Admission floor: open_connection refuses (returns nullptr) when the
-    /// pool cannot grant at least this much.
-    std::int64_t mem_min_share_bytes = 64 * 1024;
-    /// Shed floor for demoted connections.
-    std::int64_t mem_floor_share_bytes = 32 * 1024;
-    /// Turns on receiver autotuning (DRS) for pool-managed connections:
-    /// each starts at a small initial buffer and grows toward 2xBDP within
-    /// its grant instead of holding the full demand from byte one.
-    bool recv_autotune = false;
-    /// Enables the shed policy after `mem_shed_after` pressure episodes.
-    bool mem_shed = false;
-    int mem_shed_after = 3;
+    /// Receive memory shared by all connections. mem_pool.pool_bytes == 0
+    /// (the default) disables the pool entirely: every connection keeps its
+    /// private static recv_buf_bytes — the seed behaviour. Otherwise
+    /// open_connection refuses (returns nullptr) a connection the pool
+    /// cannot grant min_share_bytes. Pooled connections that should grow
+    /// toward 2xBDP within their grant set receiver.autotune in the config
+    /// they pass.
+    RecvMemPool::Config mem_pool;
 
     // ---- Hostile-spec quarantine (SpecQuarantine) --------------------------
     /// Per-program runtime-fault containment: a scheduler that keeps
@@ -127,7 +119,7 @@ class Host {
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// The receive-memory pool — null while Options::host_recv_mem_bytes is 0.
+  /// The receive-memory pool — null while Options::mem_pool.pool_bytes is 0.
   [[nodiscard]] RecvMemPool* mem_pool() { return mem_pool_.get(); }
   [[nodiscard]] const RecvMemPool* mem_pool() const { return mem_pool_.get(); }
 

@@ -157,7 +157,7 @@ std::string ProgmpApi::proc_stats(mptcp::MptcpConnection& conn) {
         buf, sizeof buf,
         "subflow %d (%s)%s%s: rtt=%s cwnd=%lld inflight=%lld queued=%lld "
         "rate=%.0fB/s\n",
-        slot, info.name.c_str(), info.is_backup ? " [backup]" : "", state,
+        slot, sbf.config().name.c_str(), info.is_backup ? " [backup]" : "", state,
         info.rtt.str().c_str(), static_cast<long long>(info.cwnd),
         static_cast<long long>(info.skbs_in_flight),
         static_cast<long long>(info.queued), info.delivery_rate_bps);
@@ -184,11 +184,8 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
                 conn.last_exec_backend());
   out += buf;
   const mptcp::MptcpConnection::Config& cc = conn.config();
-  std::snprintf(buf, sizeof buf,
-                "resilience: rto_death_threshold=%d revive_on_restore=%s "
-                "sched_fault_fallback=%s\n",
-                cc.rto_death_threshold, cc.revive_on_restore ? "on" : "off",
-                cc.sched_fault_fallback ? "on" : "off");
+  std::snprintf(buf, sizeof buf, "resilience: rto_death_threshold=%d\n",
+                cc.rto_death_threshold);
   out += buf;
   // Only rendered once the host's quarantine manager has touched this
   // connection — quarantine-off dumps stay byte-identical to the seed.
@@ -199,11 +196,9 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
     out += buf;
   }
   std::snprintf(buf, sizeof buf,
-                "path_health: probe_revival=%s probe_interval=%s "
-                "probe_required_acks=%d keepalive_idle=%s stall_timeout=%s "
-                "stall_rescue=%s\n",
+                "path_health: probe_revival=%s keepalive_idle=%s "
+                "stall_timeout=%s stall_rescue=%s\n",
                 cc.probe_revival ? "on" : "off",
-                cc.probe_interval.str().c_str(), cc.probe_required_acks,
                 cc.keepalive_idle.str().c_str(),
                 cc.stall_timeout.str().c_str(),
                 cc.stall_rescue ? "on" : "off");

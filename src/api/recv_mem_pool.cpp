@@ -146,9 +146,12 @@ std::vector<int> RecvMemPool::member_ids() const {
 }
 
 void RecvMemPool::note_pressure() {
+  // Minimum spacing between counted pressure episodes: a burst of starved
+  // grow requests within one window is one episode, not many.
+  constexpr TimeNs kEpisodeMinInterval = milliseconds(100);
   const TimeNs now = sim_.now();
   if (last_episode_at_ >= TimeNs{0} &&
-      now - last_episode_at_ < cfg_.episode_min_interval) {
+      now - last_episode_at_ < kEpisodeMinInterval) {
     return;
   }
   last_episode_at_ = now;

@@ -57,9 +57,6 @@ class RecvMemPool {
     bool shed_enabled = false;
     /// Pressure episodes (rate-limited growth shortfalls) before shedding.
     int shed_after = 3;
-    /// Minimum spacing between counted pressure episodes — a burst of
-    /// starved grow requests within one window is one episode, not many.
-    TimeNs episode_min_interval = milliseconds(100);
   };
 
   struct Stats {

@@ -283,10 +283,9 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
   PROGMP_CHECK_MSG(papi.load_builtin("minrtt", &err), err.c_str());
 
   api::Host::Options hopts;
-  hopts.host_recv_mem_bytes = plan.pool_bytes;
-  hopts.recv_autotune = true;
-  hopts.mem_shed = true;
-  hopts.mem_shed_after = 2;
+  hopts.mem_pool.pool_bytes = plan.pool_bytes;
+  hopts.mem_pool.shed_enabled = true;
+  hopts.mem_pool.shed_after = 2;
   api::Host host(sim, papi, Rng(plan.seed ^ 0xc4a05f00dULL), hopts);
   install_fleet_network(host.network(), /*wifi_ap_mbps=*/16,
                         /*lte_cell_mbps=*/48);
@@ -303,6 +302,7 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
     cfg.stall_timeout = opts.stall_timeout;
     cfg.stall_rescue = opts.stall_rescue;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
+    cfg.receiver.autotune = true;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
     cfg.receiver.enforce_recv_buf = true;
     cfg.receiver.coalesce_window_updates = true;

@@ -10,8 +10,6 @@ namespace progmp::mptcp {
 MptcpConnection::MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng)
     : sim_(sim), cfg_(std::move(cfg)), rng_(rng), trace_(cfg_.trace_capacity) {
   PROGMP_CHECK(!cfg_.subflows.empty());
-  PROGMP_CHECK(cfg_.num_registers > 0 && cfg_.num_registers <= 64);
-  registers_.assign(static_cast<std::size_t>(cfg_.num_registers), 0);
 
   // The fallback machine needs the receiver's detection path: arming the
   // connection knob implies DSS-checksum validation + mapping-loss reports.
@@ -42,7 +40,7 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng)
   // Long-lived scheduler context over the queue bundle; reset() re-arms it
   // per execution so the hot trigger path reuses the log capacity.
   sched_ctx_.emplace(sim_.now(), Trigger{}, std::span<const SubflowInfo>{},
-                     &queues_, registers_.data(), cfg_.num_registers,
+                     &queues_, registers_.data(), kNumRegisters,
                      std::int64_t{0}, &sched_stats_, &trace_);
 
   if (cfg_.cc == CcKind::kLia) {
@@ -179,21 +177,16 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
     // starve the backup-subflow failover. With probe_revival the monitor
     // owns revival: fail_subflow() above already started probing the (up)
     // path, which subsumes the amnesty with an actual end-to-end proof.
-    if (!cfg_.probe_revival && cfg_.revive_on_restore &&
-        restore_amnesty_[static_cast<std::size_t>(s)] &&
+    if (!cfg_.probe_revival && restore_amnesty_[static_cast<std::size_t>(s)] &&
         path(s).forward.is_up()) {
       restore_amnesty_[static_cast<std::size_t>(s)] = false;
       schedule_revival_check(s, std::max(cfg_.revival_min_uptime, TimeNs{0}));
     }
   };
 
-  SubflowSender::Config sender_cfg = spec.sender;
-  if (sender_cfg.rto_death_threshold == 0) {
-    sender_cfg.rto_death_threshold = cfg_.rto_death_threshold;
-  }
   subflows_.push_back(std::make_unique<SubflowSender>(
-      sim_, *paths_.back(), *receiver_, slot, std::move(sender_cfg), make_cc(),
-      std::move(host)));
+      sim_, *paths_.back(), *receiver_, slot, spec.sender,
+      cfg_.rto_death_threshold, make_cc(), std::move(host)));
   subflows_.back()->set_tracer(&trace_);
   return slot;
 }
@@ -253,13 +246,13 @@ void MptcpConnection::write(std::int64_t bytes, const SkbProps& props) {
 }
 
 void MptcpConnection::set_register(int idx, std::int64_t value) {
-  PROGMP_CHECK(idx >= 0 && idx < cfg_.num_registers);
+  PROGMP_CHECK(idx >= 0 && idx < kNumRegisters);
   registers_[static_cast<std::size_t>(idx)] = value;
   trigger({TriggerKind::kRegisterSet, -1});
 }
 
 std::int64_t MptcpConnection::get_register(int idx) const {
-  PROGMP_CHECK(idx >= 0 && idx < cfg_.num_registers);
+  PROGMP_CHECK(idx >= 0 && idx < kNumRegisters);
   return registers_[static_cast<std::size_t>(idx)];
 }
 
@@ -334,13 +327,12 @@ void MptcpConnection::on_path_state(int slot, bool up) {
   if (cfg_.probe_revival) {
     // With probing enabled the up-transition is a hint, not proof: it resets
     // the probe schedule (an immediate probe), and revival happens only once
-    // the monitor collected probe_required_acks sane echoes. The death
+    // the monitor collected kProbeRequiredAcks sane echoes. The death
     // amnesty is subsumed for the same reason — a post-restore death starts
     // probing, which carries its own revival path.
     if (health_ != nullptr) health_->on_link_restored(slot);
     return;
   }
-  if (!cfg_.revive_on_restore) return;
   if (subflows_[static_cast<std::size_t>(slot)]->state() ==
       SubflowSender::State::kEstablished) {
     // The subflow survived the outage so far, but its RTO spiral may still
@@ -366,7 +358,7 @@ void MptcpConnection::schedule_revival_check(int slot, TimeNs delay) {
     if (guard.expired()) return;
     if (link_down_epoch_[static_cast<std::size_t>(slot)] != epoch) return;
     if (!path(slot).forward.is_up()) return;
-    if (cfg_.revive_on_restore) revive_subflow(slot);
+    revive_subflow(slot);
   });
 }
 
@@ -479,8 +471,8 @@ void MptcpConnection::maybe_arm_persist() {
 }
 
 void MptcpConnection::schedule_persist_probe(std::uint64_t epoch) {
-  TimeNs delay{cfg_.persist_interval.ns() * persist_backoff_};
-  if (delay > cfg_.persist_interval_max) delay = cfg_.persist_interval_max;
+  TimeNs delay{kPersistInterval.ns() * persist_backoff_};
+  if (delay > kPersistIntervalMax) delay = kPersistIntervalMax;
   std::weak_ptr<int> guard{alive_};
   sim_.schedule_after(delay, [this, guard, epoch] {
     if (guard.expired()) return;
@@ -514,19 +506,19 @@ void MptcpConnection::send_zero_window_probe(int slot) {
   // pure ACK carrying its live window (RFC 9293 §3.8.6.1). Both legs ride
   // the real links, so a blacked-out path eats probes until it heals.
   sim::NetPath* path = paths_[static_cast<std::size_t>(slot)];
-  const std::int64_t header =
-      subflows_[static_cast<std::size_t>(slot)]->config().header_bytes;
   std::weak_ptr<int> guard{alive_};
-  path->forward.send(header, nullptr, [this, guard, slot, path] {
-    if (guard.expired()) return;
-    const AckInfo ack = receiver_->peek_ack(slot);
-    path->reverse.send(SubflowSender::kAckBytes, nullptr, [this, guard, ack] {
-      if (guard.expired()) return;
-      handle_meta_ack(ack.meta_ack, ack.rwnd_bytes, ack.wnd_stamp);
-      for (auto& sbf : subflows_) sbf->pump();
-      trigger({TriggerKind::kWindowUpdate, -1});
-    });
-  });
+  path->forward.send(
+      SubflowSender::kHeaderBytes, nullptr, [this, guard, slot, path] {
+        if (guard.expired()) return;
+        const AckInfo ack = receiver_->peek_ack(slot);
+        path->reverse.send(
+            SubflowSender::kAckBytes, nullptr, [this, guard, ack] {
+              if (guard.expired()) return;
+              handle_meta_ack(ack.meta_ack, ack.rwnd_bytes, ack.wnd_stamp);
+              for (auto& sbf : subflows_) sbf->pump();
+              trigger({TriggerKind::kWindowUpdate, -1});
+            });
+      });
 }
 
 void MptcpConnection::schedule_watchdog_poll() {
@@ -660,9 +652,9 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
   last_exec_backend_ = ctx.exec_backend();
   if (ctx.faulted()) {
     // Runtime fault containment (§3.3): the faulting execution's visible
-    // effects are rolled back and — unless disabled — the built-in default
-    // scheduler handles this trigger, so a buggy program degrades service
-    // instead of stalling the connection.
+    // effects are rolled back and the built-in default scheduler handles
+    // this trigger, so a buggy program degrades service instead of stalling
+    // the connection.
     const FaultKind kind = ctx.fault_kind();
     ++sched_stats_.sched_faults;
     ++fault_counts_[static_cast<std::size_t>(kind)];
@@ -670,10 +662,8 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
                 static_cast<std::int32_t>(t.kind),
                 static_cast<std::int64_t>(kind));
     ctx.rollback();
-    if (cfg_.sched_fault_fallback) {
-      run_default_minrtt(ctx);
-      last_exec_backend_ = "fallback";
-    }
+    run_default_minrtt(ctx);
+    last_exec_backend_ = "fallback";
     // The observer runs last: it may quarantine (swap out) the scheduler,
     // which must not happen while this execution still references it.
     if (fault_observer_) fault_observer_(kind, t.kind);

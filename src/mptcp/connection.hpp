@@ -69,7 +69,6 @@ class MptcpConnection {
     std::vector<SubflowSpec> subflows;
     Receiver::Config receiver;
     CcKind cc = CcKind::kReno;
-    int num_registers = 8;
     /// Shared topology for subflow specs that reference a path by id.
     /// Must outlive the connection; may stay null when every spec inlines a
     /// private link pair (the single-tenant default).
@@ -91,43 +90,33 @@ class MptcpConnection {
     std::size_t trace_capacity = Tracer::kDefaultCapacity;
 
     // ---- Resilience ---------------------------------------------------------
-    /// Connection-wide default for SubflowSender::Config::rto_death_threshold
-    /// (applied to subflows whose spec leaves it at 0). 0 disables death
-    /// detection — the seed behaviour, bit-identical at the same seed.
+    /// Consecutive RTOs (no intervening ACK progress) after which a subflow
+    /// declares itself dead; the connection hands it to every subflow it
+    /// creates. 0 disables death detection — the seed behaviour (a dead
+    /// path backs off forever), bit-identical at the same seed. A failed
+    /// subflow is revived when its forward (data) link comes back up.
     int rto_death_threshold = 0;
-    /// Revive a failed subflow when its forward (data) link comes back up.
-    /// Only engages after a failure, so it cannot change fault-free runs.
-    bool revive_on_restore = true;
     /// Revival hysteresis for flapping paths: the restored link must stay up
-    /// this long before revive_on_restore re-admits the subflow; another
-    /// down-transition inside the window cancels the pending revival. 0 (the
-    /// seed default) trusts the first up-transition immediately.
+    /// this long before the subflow is re-admitted; another down-transition
+    /// inside the window cancels the pending revival. 0 (the seed default)
+    /// trusts the first up-transition immediately.
     TimeNs revival_min_uptime{0};
-    /// When a scheduler program faults at runtime (budget exhaustion, VM
-    /// error), roll its effects back and run the built-in default scheduler
-    /// for that trigger instead of silently doing nothing.
-    bool sched_fault_fallback = true;
 
     // ---- Path health (PathHealthMonitor) -----------------------------------
     /// Revival requires end-to-end proof: a failed subflow is re-admitted
-    /// only after `probe_required_acks` keepalive probes came back with sane
-    /// RTT samples. A forward-link up-transition then merely resets the
-    /// probe schedule instead of reviving directly. Off (the default) keeps
-    /// the trust-the-link revival — and seed bit-identity.
+    /// only after PathHealthMonitor::kProbeRequiredAcks keepalive probes
+    /// came back with sane RTT samples. A forward-link up-transition then
+    /// merely resets the probe schedule instead of reviving directly. Off
+    /// (the default) keeps the trust-the-link revival — and seed
+    /// bit-identity.
     bool probe_revival = false;
-    /// Initial spacing of revival probes; doubles per probe up to
-    /// probe_interval_max (reset by an up-transition or a sane echo).
-    TimeNs probe_interval = milliseconds(200);
-    TimeNs probe_interval_max = seconds(2);
-    /// Consecutive sane probe echoes required before revival.
-    int probe_required_acks = 2;
     /// When positive, an established subflow with nothing queued or in
-    /// flight is probed every `keepalive_idle`; `keepalive_misses`
-    /// consecutive unanswered keepalives declare it dead. Detects silent
-    /// blackouts on idle paths (e.g. an unused backup), which otherwise
-    /// surface only when the scheduler needs the path. 0 = off (default).
+    /// flight is probed every `keepalive_idle`;
+    /// PathHealthMonitor::kKeepaliveMisses consecutive unanswered keepalives
+    /// declare it dead. Detects silent blackouts on idle paths (e.g. an
+    /// unused backup), which otherwise surface only when the scheduler needs
+    /// the path. 0 = off (default).
     TimeNs keepalive_idle{0};
-    int keepalive_misses = 2;
 
     // ---- Connection watchdog ------------------------------------------------
     /// When positive, the connection polls for meta-level stalls: delivered
@@ -153,13 +142,11 @@ class MptcpConnection {
     /// RFC 9293 §3.8.6.1 persist timer: when the advertised window cannot
     /// fit the next packet, nothing is in flight (so no RTO is armed) and
     /// data is waiting, probe the window on an exponential backoff
-    /// (persist_interval doubling up to persist_interval_max). The probe's
+    /// (kPersistInterval doubling up to kPersistIntervalMax). The probe's
     /// pure-ACK echo carries the live window, so a lost window update can
     /// no longer deadlock the connection. Raises TriggerKind::kRwndLimited
     /// once per blocked episode. Off = seed behaviour.
     bool zero_window_probe = false;
-    TimeNs persist_interval = milliseconds(200);
-    TimeNs persist_interval_max = seconds(2);
 
     // ---- Middlebox-interference fallback (RFC 8684 §3.7) --------------------
     /// Arms the fallback state machine: receiver-side detection (DSS
@@ -221,6 +208,8 @@ class MptcpConnection {
   /// into MSS-sized packets carrying `props`. Triggers the scheduler.
   void write(std::int64_t bytes, const SkbProps& props = {});
 
+  /// Size of the application register file (R1..R8).
+  static constexpr int kNumRegisters = 8;
   /// Sets a scheduler register (application -> scheduler signalling, §3.2).
   void set_register(int idx, std::int64_t value);
   [[nodiscard]] std::int64_t get_register(int idx) const;
@@ -245,9 +234,9 @@ class MptcpConnection {
   /// Revives a failed subflow: fresh sequence space on both ends, slow-start
   /// restart, and a kSubflowAdded trigger so the scheduler sees it again.
   /// No-op unless the subflow is in the failed state. Called automatically
-  /// on link restore while Config::revive_on_restore is set (or, with
-  /// Config::probe_revival, by the PathHealthMonitor once the path answered
-  /// enough sane probes; such revivals trace kSubflowRevived with a=1).
+  /// on link restore (or, with Config::probe_revival, by the
+  /// PathHealthMonitor once the path answered enough sane probes; such
+  /// revivals trace kSubflowRevived with a=1).
   void revive_subflow(int slot, bool probe_proven = false);
 
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -336,6 +325,10 @@ class MptcpConnection {
   }
   /// Whether the persist timer is currently armed (sender rwnd-blocked).
   [[nodiscard]] bool persist_armed() const { return persist_armed_; }
+  /// Persist-probe spacing: the first probe fires kPersistInterval after
+  /// arming, each later one doubles the gap up to kPersistIntervalMax.
+  static constexpr TimeNs kPersistInterval = milliseconds(200);
+  static constexpr TimeNs kPersistIntervalMax = seconds(2);
 
   // ---- Fallback introspection ---------------------------------------------
   [[nodiscard]] FallbackState fallback_state() const { return fallback_state_; }
@@ -535,7 +528,7 @@ class MptcpConnection {
   /// meta_seqs densely and appends, the cumulative meta ACK pops the front.
   std::deque<SkbPtr> unacked_;
 
-  std::vector<std::int64_t> registers_;
+  std::array<std::int64_t, kNumRegisters> registers_{};
 
   /// Per-execution scratch, reused across scheduler runs so the hot trigger
   /// path performs no allocations: the subflow snapshot vector and the

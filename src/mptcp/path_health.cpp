@@ -60,7 +60,7 @@ void PathHealthMonitor::start_probing(int s) {
   ++st.epoch;
   ++st.chain;
   st.sane_streak = 0;
-  st.interval = std::max(conn_.config().probe_interval, TimeNs{1});
+  st.interval = kProbeInterval;
   schedule_probe(s, st.interval);
 }
 
@@ -77,7 +77,7 @@ void PathHealthMonitor::restart_schedule_now(int s) {
   Slot& st = slot(s);
   if (!st.probing) return;
   ++st.chain;
-  st.interval = std::max(conn_.config().probe_interval, TimeNs{1});
+  st.interval = kProbeInterval;
   schedule_probe(s, TimeNs{0});
 }
 
@@ -90,8 +90,7 @@ void PathHealthMonitor::schedule_probe(int s, TimeNs delay) {
     Slot& cur = slot(s);
     if (!cur.probing || cur.chain != chain) return;
     send_probe(s, /*keepalive=*/false);
-    cur.interval =
-        std::min(cur.interval * 2, conn_.config().probe_interval_max);
+    cur.interval = std::min(cur.interval * 2, kProbeIntervalMax);
     schedule_probe(s, cur.interval);
   });
 }
@@ -140,8 +139,7 @@ void PathHealthMonitor::on_probe_ack(int s, std::uint32_t epoch,
     st.sane_streak = 0;
     return;
   }
-  const int required = std::max(1, conn_.config().probe_required_acks);
-  if (++st.sane_streak >= required) {
+  if (++st.sane_streak >= kProbeRequiredAcks) {
     ++st.slot_stats.probe_revivals;
     stop_probing(s);
     conn_.revive_subflow(s, /*probe_proven=*/true);
@@ -187,8 +185,7 @@ void PathHealthMonitor::keepalive_tick(int s) {
   if (idle) {
     if (st.keepalive_outstanding) {
       st.keepalive_outstanding = false;
-      if (++st.keepalive_miss_streak >=
-          std::max(1, conn_.config().keepalive_misses)) {
+      if (++st.keepalive_miss_streak >= kKeepaliveMisses) {
         // A silently-black idle path: no RTO will ever fire for it (nothing
         // is in flight), so the keepalive is the only detector. Declare the
         // death through the normal path — harvest, reinjection, scheduler

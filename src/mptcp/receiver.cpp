@@ -256,7 +256,7 @@ void Receiver::maybe_autotune() {
     // transient lull never slams the window shut.
     if (++drs_low_epochs_ >= 2) {
       const std::int64_t floor =
-          std::min(cfg_.autotune_min_bytes, recv_buf_limit_);
+          std::min(kAutotuneMinBytes, recv_buf_limit_);
       const std::int64_t next =
           std::max({want, floor, recv_buf_target_ / 2});
       if (next < recv_buf_target_) {
@@ -287,13 +287,14 @@ void Receiver::schedule_app_read() {
 }
 
 void Receiver::maybe_emit_window_update() {
+  constexpr std::int64_t kSwsMssBytes = 1400;
   const std::int64_t rwnd = rwnd_bytes();
   if (cfg_.coalesce_window_updates) {
     // SWS avoidance (RFC 9293 §3.8.6.2.2): silly little window advances are
     // swallowed; only a window opening from zero or a full-MSS gain since
     // the last advertisement is worth an update of its own.
     const bool opens_from_zero = last_advertised_rwnd_ <= 0 && rwnd > 0;
-    const bool grew_an_mss = rwnd - last_advertised_rwnd_ >= cfg_.sws_mss_bytes;
+    const bool grew_an_mss = rwnd - last_advertised_rwnd_ >= kSwsMssBytes;
     if (!opens_from_zero && !grew_an_mss) {
       ++window_updates_coalesced_;
       return;

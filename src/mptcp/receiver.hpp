@@ -94,27 +94,24 @@ class Receiver {
     /// bytes. Default off = seed behaviour.
     bool enforce_recv_buf = false;
     /// SWS avoidance (RFC 9293 §3.8.6.2.2): only emit a window update when
-    /// the window opens from zero or has grown >= sws_mss_bytes since the
+    /// the window opens from zero or has grown >= one MSS (1400 B) since the
     /// last advertisement (updates below that threshold are counted as
     /// coalesced). Default off = one update per 4 KB app-read chunk (seed
     /// behaviour).
     bool coalesce_window_updates = false;
-    std::int32_t sws_mss_bytes = 1400;
 
     // ---- Dynamic receive-buffer sizing (DRS) ------------------------------
     /// Kernel-style receive-buffer autotuning: the *effective* buffer size
     /// (recv_buf_target, which backs the advertised window) starts at
-    /// autotune_initial_bytes and is re-evaluated once per RTT (the
+    /// kAutotuneInitialBytes and is re-evaluated once per RTT (the
     /// connection feeds set_rtt_hint) against 2x the bytes delivered that
     /// RTT — the classic grow-toward-2xBDP rule. It shrinks (halving at
     /// most, after two consecutive low epochs) when the reader drains and
     /// the flow no longer needs the space, and is always clamped to
-    /// [autotune_min_bytes, recv_buf_limit] where the limit is the host
+    /// [kAutotuneMinBytes, recv_buf_limit] where the limit is the host
     /// pool's grant (or recv_buf_bytes standalone). Default off = the
     /// static buffer of the seed.
     bool autotune = false;
-    std::int64_t autotune_min_bytes = 64 * 1024;
-    std::int64_t autotune_initial_bytes = 128 * 1024;
 
     /// RFC 8684-style middlebox-interference detection: validate the DSS
     /// checksum on every first-seen segment and treat mapping-less
@@ -155,13 +152,18 @@ class Receiver {
   /// the pool reclaimed or shed this connection in the meantime).
   using MemGrantFn = std::function<std::int64_t(std::int64_t want_bytes)>;
 
+  /// Autotune bounds: the buffer target starts at kAutotuneInitialBytes
+  /// and never shrinks below kAutotuneMinBytes (both capped by the limit).
+  static constexpr std::int64_t kAutotuneMinBytes = 64 * 1024;
+  static constexpr std::int64_t kAutotuneInitialBytes = 128 * 1024;
+
   Receiver(sim::Simulator& sim, Config cfg) : sim_(sim), cfg_(cfg) {
     recv_buf_limit_ = cfg_.recv_buf_bytes;
     recv_buf_target_ = cfg_.recv_buf_bytes;
     if (cfg_.autotune) {
       recv_buf_target_ =
-          std::clamp(cfg_.autotune_initial_bytes,
-                     std::min(cfg_.autotune_min_bytes, recv_buf_limit_),
+          std::clamp(kAutotuneInitialBytes,
+                     std::min(kAutotuneMinBytes, recv_buf_limit_),
                      recv_buf_limit_);
     }
     last_advertised_rwnd_ = recv_buf_target_;

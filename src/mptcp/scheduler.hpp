@@ -12,6 +12,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/check.hpp"
@@ -59,7 +60,6 @@ struct Trigger {
 /// (Table 1) plus the derived rate signals used by TAP (§5.4).
 struct SubflowInfo {
   int slot = -1;            ///< stable index into the connection's slot table
-  std::string name;         ///< e.g. "wifi", "lte"
   bool is_backup = false;
   bool preferred = true;  ///< application preference (cheap vs metered path)
   bool established = false;
@@ -84,6 +84,8 @@ struct SubflowInfo {
     return cwnd > skbs_in_flight + queued;
   }
 };
+// Built once per subflow per execution: the snapshot must stay a plain copy.
+static_assert(std::is_trivially_copyable_v<SubflowInfo>);
 
 // QueueId lives in mptcp/packet_queue.hpp (re-exported by the include
 // above): the queue layer owns the id -> queue mapping.
@@ -92,9 +94,9 @@ struct SubflowInfo {
 // The top of the R1..R99 register file is reserved for values the runtime
 // maintains on the connection's behalf — specs read them like any register
 // (e.g. `IF R92 > R1 THEN ...`), writes to them are silently ignored. The
-// per-connection register file itself stays <= 64 entries (enforced by
-// MptcpConnection), so the overlay can never collide with an
-// application-owned register.
+// per-connection register file itself has MptcpConnection::kNumRegisters
+// (8) entries, so the overlay can never collide with an application-owned
+// register.
 
 /// R91: receive-memory pressure level of the owning host's pool (0 = no
 /// pressure; otherwise the episode count of the current pressure period).

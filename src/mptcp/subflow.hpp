@@ -43,17 +43,6 @@ class SubflowSender {
     /// subflow entirely while any non-backup subflow exists.
     bool preferred = true;
     std::int64_t mss = 1400;
-    /// TSQ budget: at most ~2 ms of data at the estimated pacing rate may
-    /// sit in the local qdisc, clamped to [min, max] — mirroring the
-    /// kernel's TSO-era small-queue rule (2 full-size TSO packets floor,
-    /// tcp_limit_output_bytes ceiling).
-    std::int64_t tsq_min_bytes = 16 * 1024;
-    std::int64_t tsq_max_bytes = 256 * 1024;
-    std::int64_t header_bytes = 60;  ///< wire overhead per segment
-    /// Consecutive RTOs (no intervening ACK progress) after which the
-    /// subflow declares itself dead via Host::on_subflow_dead. 0 disables
-    /// detection (seed behaviour: a dead path backs off forever).
-    int rto_death_threshold = 0;
   };
 
   /// Callbacks into the owning connection.
@@ -110,8 +99,11 @@ class SubflowSender {
     std::int64_t revivals = 0;   ///< times a dead subflow was revived
   };
 
+  /// `rto_death_threshold`: consecutive RTOs (no intervening ACK progress)
+  /// after which the subflow declares itself dead via Host::on_subflow_dead;
+  /// 0 disables detection (MptcpConnection::Config::rto_death_threshold).
   SubflowSender(sim::Simulator& sim, sim::NetPath& path, Receiver& receiver,
-                int slot, Config cfg,
+                int slot, Config cfg, int rto_death_threshold,
                 std::unique_ptr<tcp::CongestionControl> cc, Host host);
   ~SubflowSender();
 
@@ -191,6 +183,8 @@ class SubflowSender {
   static constexpr int kDupAckThreshold = 3;
   /// Wire size of a pure ACK on the reverse path.
   static constexpr std::int64_t kAckBytes = 64;
+  /// Wire overhead per data segment (and the size of a zero-window probe).
+  static constexpr std::int64_t kHeaderBytes = 60;
   /// Cap on the exponential RTO backoff multiplier (kernel-style 64x).
   static constexpr int kMaxRtoBackoff = 64;
   /// Hard ceiling on the armed retransmission timeout after backoff — the
@@ -229,6 +223,7 @@ class SubflowSender {
   Receiver& receiver_;
   int slot_;
   Config cfg_;
+  int rto_death_threshold_;
   std::unique_ptr<tcp::CongestionControl> cc_;
   Host host_;
 
@@ -251,6 +246,10 @@ class SubflowSender {
   tcp::RttEstimator rtt_;
   tcp::RateEstimator rate_;
 
+  /// TSQ budget: at most ~2 ms of data at the estimated pacing rate may sit
+  /// in the local qdisc, clamped to [16 KB, 256 KB] — the kernel's TSO-era
+  /// small-queue rule (2 full-size TSO packets floor,
+  /// tcp_limit_output_bytes ceiling).
   [[nodiscard]] std::int64_t tsq_budget_bytes() const;
 
   std::int64_t tsq_bytes_ = 0;  ///< bytes handed to the qdisc, unserialized
@@ -261,7 +260,7 @@ class SubflowSender {
   int consecutive_rtos_ = 0;  ///< RTOs since the last ACK progress
   /// A revived subflow is on probation until its first ACK progress: the
   /// up-transition only proved the link, not the path end-to-end, so a
-  /// single RTO (not rto_death_threshold of them) re-declares it dead
+  /// single RTO (not rto_death_threshold_ of them) re-declares it dead
   /// instead of letting a black revival wedge the connection for a full
   /// backoff spiral.
   bool probation_ = false;

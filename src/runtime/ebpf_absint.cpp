@@ -11,6 +11,7 @@
 
 #include "lang/ast.hpp"
 #include "mptcp/packet_queue.hpp"
+#include "mptcp/skb.hpp"
 
 namespace progmp::rt::ebpf {
 namespace {
@@ -410,13 +411,21 @@ void check_call(std::size_t pc, const Insn& insn, const State& st,
   }
 }
 
+/// Environment model for trip-count derivation: the largest queue length
+/// the WCET bound assumes. Verified programs whose loops scan queues get a
+/// bound proportional to this; the runtime budget still catches the
+/// (model-exceeding) tail at execution time.
+constexpr std::int64_t kModelQueueLen = 1024;
+/// Modeled maximum subflow count.
+constexpr std::int64_t kModelSbfCount = mptcp::kMaxSubflows;
+
 /// Helper return-value model.
-AbsVal call_result(Helper helper, const AbsintOptions& opts) {
+AbsVal call_result(Helper helper) {
   switch (helper) {
     case Helper::kSbfCount:
-      return AbsVal::scalar({0, opts.model_sbf_count});
+      return AbsVal::scalar({0, kModelSbfCount});
     case Helper::kQueueLen:
-      return AbsVal::scalar({0, opts.model_queue_len});
+      return AbsVal::scalar({0, kModelQueueLen});
     case Helper::kQueueNth:
     case Helper::kPop:
       return AbsVal::handle();
@@ -440,7 +449,7 @@ AbsVal call_result(Helper helper, const AbsintOptions& opts) {
 /// Applies one non-jump instruction to `st`. `sink` is null during the
 /// fixpoint and set during the final reporting walk.
 void transfer(State& st, std::size_t pc, const Insn& insn,
-              const AbsintOptions& opts, DiagSinkFn* sink) {
+              DiagSinkFn* sink) {
   auto fp_arith = [&](int r) {
     if (sink != nullptr && st.regs[r].kind == ValKind::kFramePtr) {
       sink->emit(pc, "frame pointer used in arithmetic (r" +
@@ -493,7 +502,7 @@ void transfer(State& st, std::size_t pc, const Insn& insn,
       break;
     case Op::kCall: {
       if (sink != nullptr) check_call(pc, insn, st, *sink);
-      st.regs[0] = call_result(static_cast<Helper>(insn.imm), opts);
+      st.regs[0] = call_result(static_cast<Helper>(insn.imm));
       // r1-r5 are poisoned by the VM; model them as uninitialized so a
       // later helper call reusing them without a fresh MOV is flagged.
       for (int r = 1; r <= 5; ++r) st.regs[r] = AbsVal::uninit();
@@ -674,6 +683,8 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
   }
 
   // ---- Fixpoint --------------------------------------------------------------
+  // Joins at a block head before intervals are widened to convergence.
+  constexpr int kWidenAfter = 8;
   std::vector<std::unique_ptr<State>> states(n);
   std::vector<int> joins_at(n, 0);
   std::deque<std::size_t> work;
@@ -685,7 +696,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     } else {
       State merged = join(*states[succ], s);
       if (merged == *states[succ]) return;
-      if (++joins_at[succ] > options.widen_after) {
+      if (++joins_at[succ] > kWidenAfter) {
         widen(merged, *states[succ]);
       }
       *states[succ] = merged;
@@ -711,7 +722,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
       if (sink != nullptr) reachable[pc] = true;
       const Insn& insn = code[pc];
       if (insn.op == Op::kExit) {
-        transfer(cur, pc, insn, options, sink);
+        transfer(cur, pc, insn, sink);
         return;
       }
       if (insn.op == Op::kJa) {
@@ -731,7 +742,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
         }
         return;
       }
-      transfer(cur, pc, insn, options, sink);
+      transfer(cur, pc, insn, sink);
       ++pc;
       if (pc >= n) return;  // structurally impossible (last insn EXIT/JA)
       if (is_leader[pc]) {
@@ -748,7 +759,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
   work.push_back(0);
   std::size_t steps = 0;
   const std::size_t max_steps = 64 * std::max<std::size_t>(leader_count, 1) +
-                                8 * static_cast<std::size_t>(options.widen_after) *
+                                8 * static_cast<std::size_t>(kWidenAfter) *
                                     leader_count;
   while (!work.empty()) {
     if (++steps > max_steps) {
@@ -1138,9 +1149,9 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
                     " exceeds the execution budget " +
                     std::to_string(options.exec_budget) +
                     " (environment model: queue length <= " +
-                    std::to_string(options.model_queue_len) +
+                    std::to_string(kModelQueueLen) +
                     ", subflows <= " +
-                    std::to_string(options.model_sbf_count) + ")");
+                    std::to_string(kModelSbfCount) + ")");
     }
   }
 

@@ -23,7 +23,7 @@
 // matched against a monotone counter (stack slot or callee-saved register,
 // single increment site in the back-edge block) and a loop-invariant limit
 // with a finite upper bound under the environment model (SBF_COUNT <= 8,
-// queue lengths <= model_queue_len). The per-loop bounds multiply into a
+// queue lengths <= 1024). The per-loop bounds multiply into a
 // derived worst-case instruction count for one execution, checked against
 // the load-time exec budget. A back edge that cannot be bounded is a
 // rejection, reported with an entry-to-back-edge counterexample path — the
@@ -40,19 +40,10 @@
 namespace progmp::rt::ebpf {
 
 struct AbsintOptions {
-  /// Environment model for trip-count derivation: the largest queue length
-  /// the WCET bound assumes. Verified programs whose loops scan queues get
-  /// a bound proportional to this; the runtime budget still catches the
-  /// (model-exceeding) tail at execution time.
-  std::int64_t model_queue_len = 1024;
-  /// Modeled maximum subflow count (mptcp::kMaxSubflows).
-  std::int64_t model_sbf_count = 8;
   /// Load-time budget the derived worst-case instruction count is checked
   /// against; <= 0 disables the budget check (bounds are still derived and
   /// unbounded loops still rejected).
   std::int64_t exec_budget = 1'000'000;
-  /// Joins at a block head before intervals are widened to convergence.
-  int widen_after = 8;
 };
 
 /// One finding, anchored at an instruction; `path` (when non-empty) is an

@@ -193,9 +193,13 @@ TEST(ApiTest, ProcDumpReportsTraceOverflowAndPathHealthKnobs) {
             std::string::npos);
   EXPECT_EQ(conn.metrics().counter_value("trace.overwritten"),
             static_cast<std::int64_t>(conn.tracer().overwritten()));
-  // The path-health knob line reflects the (default-off) configuration.
-  EXPECT_NE(dump.find("path_health: probe_revival=off"), std::string::npos);
-  EXPECT_NE(dump.find("stall_timeout="), std::string::npos);
+  // The resilience and path-health knob lines reflect the (default-off)
+  // configuration, one settable knob per field.
+  EXPECT_NE(dump.find("\nresilience: rto_death_threshold=0\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("\npath_health: probe_revival=off keepalive_idle=0ns "
+                      "stall_timeout=0ns stall_rescue=off\n"),
+            std::string::npos);
 
   // A connection built with the robustness stack armed shows the flipped
   // knob line and the per-slot monitor lines.
@@ -205,8 +209,8 @@ TEST(ApiTest, ProcDumpReportsTraceOverflowAndPathHealthKnobs) {
   mptcp::MptcpConnection armed_conn(sim, armed_cfg, Rng(9));
   ASSERT_TRUE(api.set_scheduler(armed_conn, "minrtt"));
   const std::string armed = ProgmpApi::proc_dump(armed_conn);
-  EXPECT_NE(armed.find("path_health: probe_revival=on"), std::string::npos);
-  EXPECT_NE(armed.find("stall_timeout=" + seconds(2).str()),
+  EXPECT_NE(armed.find("\npath_health: probe_revival=on keepalive_idle=0ns "
+                       "stall_timeout=2.000s stall_rescue=off\n"),
             std::string::npos);
   EXPECT_NE(armed.find("path_health: sbf0"), std::string::npos);
 }

@@ -118,12 +118,12 @@ TEST(PersistTimerTest, ProbeBackoffDoublesUpToCap) {
     gaps.push_back(static_cast<double>((probes[i] - probes[i - 1]).ns()));
   }
   const double interval =
-      static_cast<double>(rig.conn.config().persist_interval.ns());
+      static_cast<double>(MptcpConnection::kPersistInterval.ns());
   const double cap =
-      static_cast<double>(rig.conn.config().persist_interval_max.ns());
-  // The first probe fires persist_interval after arming; the gaps between
+      static_cast<double>(MptcpConnection::kPersistIntervalMax.ns());
+  // The first probe fires kPersistInterval after arming; the gaps between
   // probes then double — 400ms, 800ms, 1.6s — until capped at
-  // persist_interval_max (2s).
+  // kPersistIntervalMax (2s).
   EXPECT_NEAR(gaps.front(), 2.0 * interval, interval * 0.1);
   for (std::size_t i = 0; i + 1 < 2 && i + 1 < gaps.size(); ++i) {
     EXPECT_NEAR(gaps[i + 1] / gaps[i], 2.0, 0.1) << "gap index " << i;
@@ -254,7 +254,7 @@ TEST(WindowUpdateLossTest, PersistProbingRecoversAfterHeal) {
   const auto deliveries = rig.conn.receiver().deliveries();
   ASSERT_FALSE(deliveries.empty());
   EXPECT_LE(deliveries.back().at,
-            seconds(3) + rig.conn.config().persist_interval_max + seconds(2));
+            seconds(3) + MptcpConnection::kPersistIntervalMax + seconds(2));
 }
 
 TEST(WindowUpdateLossTest, CrossPathStragglerDoesNotWedgeTheWindow) {

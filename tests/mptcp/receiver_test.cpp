@@ -165,7 +165,7 @@ TEST(ReceiverTest, AutotuneGrowsTowardTwiceDeliveryRateAndShrinksOnDrain) {
     rx.on_data(seg(0, s, s));
     ++s;
   }
-  EXPECT_EQ(rx.recv_buf_target(), cfg.autotune_min_bytes);
+  EXPECT_EQ(rx.recv_buf_target(), Receiver::kAutotuneMinBytes);
   EXPECT_EQ(rx.autotune_shrinks(), 2);
 }
 

@@ -350,9 +350,9 @@ Code random_program(Rng& rng) {
   return code;
 }
 
-/// Runs `code` in a fixed model environment: 3 subflows
-/// (<= model_sbf_count) and small queues (<= model_queue_len), so the
-/// absint environment model covers everything the VM will see.
+/// Runs `code` in a fixed model environment: 3 subflows (<= the modeled 8)
+/// and small queues (<= the modeled 1024), so the absint environment model
+/// covers everything the VM will see.
 Vm::RunResult run_in_model_env(const Code& code) {
   FakeEnv env;
   env.add_subflow("a", 10'000);

@@ -33,12 +33,12 @@ class FakeEnv {
     return skb;
   }
 
-  mptcp::SubflowInfo& add_subflow(const std::string& name,
+  /// `name` only labels the call site; the snapshot carries no name.
+  mptcp::SubflowInfo& add_subflow(const std::string& /*name*/,
                                   std::int64_t rtt_us, std::int64_t cwnd = 10,
                                   bool backup = false) {
     mptcp::SubflowInfo info;
     info.slot = static_cast<int>(subflows.size());
-    info.name = name;
     info.established = true;
     info.is_backup = backup;
     info.cwnd = cwnd;

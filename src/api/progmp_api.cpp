@@ -196,16 +196,11 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
     out += buf;
   }
   std::snprintf(buf, sizeof buf,
-                "path_health: probe_revival=%s keepalive_idle=%s "
-                "stall_timeout=%s stall_rescue=%s\n",
-                cc.probe_revival ? "on" : "off",
+                "path_health: keepalive_idle=%s stall_timeout=%s\n",
                 cc.keepalive_idle.str().c_str(),
-                cc.stall_timeout.str().c_str(),
-                cc.stall_rescue ? "on" : "off");
+                cc.stall_timeout.str().c_str());
   out += buf;
-  if (const mptcp::PathHealthMonitor* health = conn.path_health()) {
-    out += health->proc_dump();
-  }
+  out += conn.path_health().proc_dump();
   const mptcp::Receiver& rx = conn.receiver();
   std::snprintf(buf, sizeof buf,
                 "rwnd: window_update_subflow=%d zero_window_probe=%s "

@@ -22,6 +22,36 @@
 namespace progmp::apps {
 namespace {
 
+// ---- Plan generation --------------------------------------------------------
+constexpr int kMinFaults = 2;
+constexpr int kMaxFaults = 6;
+constexpr TimeNs kHorizon = seconds(20);
+
+// ---- Workload ---------------------------------------------------------------
+/// Constant-rate app writes from t=0 until one second before the horizon,
+/// so every fault window in the plan hits live traffic (a bulk transfer
+/// would finish in ~150 ms and leave most faults punching air). The rate is
+/// well under either path's capacity: the stream must be recoverable, and a
+/// 200-seed soak must stay affordable under ASan.
+constexpr std::int64_t kCbrBytesPerSec = 250'000;
+/// Fleet sizes of the memory-pressure soak and of the hostile-spec soak
+/// (the latter including the hostile tenant).
+constexpr int kMemConns = 4;
+constexpr int kHostileConns = 3;
+
+// ---- Robustness stack armed during the run ----------------------------------
+constexpr int kRtoDeathThreshold = 3;
+constexpr TimeNs kKeepaliveIdle = milliseconds(500);
+constexpr TimeNs kStallTimeout = seconds(2);
+
+// ---- Checking ---------------------------------------------------------------
+/// Stride for the heavy (full-scan) invariants; the cheap class still runs
+/// at every event boundary.
+constexpr std::uint64_t kInvariantStride = 16;
+/// Extra simulated time after the horizon for retransmissions, probe
+/// revivals and the final delivery to settle.
+constexpr TimeNs kGrace = seconds(40);
+
 const char* kind_name(ChaosFault::Kind k) {
   switch (k) {
     case ChaosFault::Kind::kBlackout:
@@ -123,15 +153,13 @@ std::string ChaosPlan::str() const {
 ChaosPlan make_chaos_plan(std::uint64_t seed, const ChaosOptions& opts) {
   ChaosPlan plan;
   plan.seed = seed;
-  plan.horizon = opts.horizon;
+  plan.horizon = kHorizon;
   Rng rng(seed);
 
   // Every fault must be fully over before the horizon so delivery is
   // assertable after the grace period — leave a margin at the end.
   const TimeNs latest_end = plan.horizon - milliseconds(500);
-  const int n = static_cast<int>(
-      rng.next_range(opts.min_faults, std::max(opts.min_faults,
-                                               opts.max_faults)));
+  const int n = static_cast<int>(rng.next_range(kMinFaults, kMaxFaults));
   for (int i = 0; i < n; ++i) {
     ChaosFault f;
     f.kind = static_cast<ChaosFault::Kind>(rng.next_range(0, 3));
@@ -164,30 +192,29 @@ ChaosPlan make_chaos_plan(std::uint64_t seed, const ChaosOptions& opts) {
     }
     plan.faults.push_back(f);
   }
-  if (opts.harden_receiver) {
-    // Receiver-shape draws come after the fault loop on purpose: the fault
-    // list for a given seed is unchanged from pre-hardening soaks.
-    static constexpr std::int64_t kBufs[] = {256 * 1024, 512 * 1024,
-                                             2 * 1024 * 1024,
-                                             8 * 1024 * 1024};
-    static constexpr std::int64_t kReads[] = {0, 400'000, 750'000, 1'500'000};
-    plan.recv_buf_bytes = kBufs[rng.next_range(0, 3)];
-    plan.app_read_bytes_per_sec = kReads[rng.next_range(0, 3)];
-    // -1 side channel, 0 wifi_ap reverse, 1 lte_cell reverse.
-    plan.wnd_update_subflow = static_cast<int>(rng.next_range(0, 2)) - 1;
-    if (opts.recv_buf_override > 0) {
-      plan.recv_buf_bytes = opts.recv_buf_override;
-    }
+  // Receiver-shape draws come after the fault loop on purpose: the fault
+  // list for a given seed is unchanged from pre-hardening soaks. Every
+  // app-read rate stays above the CBR write rate, so the stream remains
+  // drainable and final delivery stays assertable.
+  static constexpr std::int64_t kBufs[] = {256 * 1024, 512 * 1024,
+                                           2 * 1024 * 1024,
+                                           8 * 1024 * 1024};
+  static constexpr std::int64_t kReads[] = {0, 400'000, 750'000, 1'500'000};
+  plan.recv_buf_bytes = kBufs[rng.next_range(0, 3)];
+  plan.app_read_bytes_per_sec = kReads[rng.next_range(0, 3)];
+  // -1 side channel, 0 wifi_ap reverse, 1 lte_cell reverse.
+  plan.wnd_update_subflow = static_cast<int>(rng.next_range(0, 2)) - 1;
+  if (opts.recv_buf_override > 0) {
+    plan.recv_buf_bytes = opts.recv_buf_override;
   }
   if (opts.memory_pressure) {
     // The pool is drawn well under the fleet's aggregate demand — autotuned
     // growth can exhaust it, so pressure episodes and shed demotions really
-    // happen — but always covers mem_conns admission minima: this soak
+    // happen — but always covers every admission minimum: this soak
     // exercises degradation under overload, not admission refusal (that
     // path has its own deterministic tests).
-    const auto n = static_cast<std::int64_t>(opts.mem_conns);
-    plan.pool_bytes = n * (64 + rng.next_range(0, 160)) * 1024;
-    for (int i = 0; i < opts.mem_conns; ++i) {
+    plan.pool_bytes = kMemConns * (64 + rng.next_range(0, 160)) * 1024;
+    for (int i = 0; i < kMemConns; ++i) {
       plan.priorities.push_back(static_cast<int>(rng.next_range(1, 4)));
     }
   }
@@ -291,16 +318,14 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
                         /*lte_cell_mbps=*/48);
 
   InvariantChecker checker;
-  checker.set_stride(opts.invariant_stride);
+  checker.set_stride(kInvariantStride);
 
   std::vector<mptcp::MptcpConnection*> conns;
   for (int pri : plan.priorities) {
     mptcp::MptcpConnection::Config cfg =
-        fleet_priority_config(pri, opts.rto_death_threshold);
-    cfg.probe_revival = opts.probe_revival;
-    cfg.keepalive_idle = opts.keepalive_idle;
-    cfg.stall_timeout = opts.stall_timeout;
-    cfg.stall_rescue = opts.stall_rescue;
+        fleet_priority_config(pri, kRtoDeathThreshold);
+    cfg.keepalive_idle = kKeepaliveIdle;
+    cfg.stall_timeout = kStallTimeout;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.autotune = true;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
@@ -329,7 +354,7 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
   install_plan_faults(sim, host.network(), injector, plan);
 
   CbrSource::Options wl;
-  wl.schedule = {{TimeNs{0}, opts.cbr_bytes_per_sec}};
+  wl.schedule = {{TimeNs{0}, kCbrBytesPerSec}};
   wl.duration = plan.horizon - seconds(1);
   std::vector<std::unique_ptr<CbrSource>> sources;
   for (mptcp::MptcpConnection* conn : conns) {
@@ -337,7 +362,7 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
     sources.back()->start();
   }
 
-  sim.run_until(plan.horizon + opts.grace);
+  sim.run_until(plan.horizon + kGrace);
   checker.force_run(sim.now());
 
   ChaosVerdict v;
@@ -383,8 +408,7 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
 /// connection); the fault flapper must end up quarantined while everybody,
 /// the flapper's own connection included (the default scheduler stands in),
 /// keeps full delivery.
-ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan,
-                                    const ChaosOptions& opts) {
+ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan) {
   sim::Simulator sim;
   api::ProgmpApi papi;
   std::string err;
@@ -442,16 +466,14 @@ ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan,
                         /*lte_cell_mbps=*/48);
 
   InvariantChecker checker;
-  checker.set_stride(opts.invariant_stride);
+  checker.set_stride(kInvariantStride);
 
   std::vector<mptcp::MptcpConnection*> conns;
-  for (int i = 0; i < std::max(2, opts.hostile_conns); ++i) {
+  for (int i = 0; i < kHostileConns; ++i) {
     mptcp::MptcpConnection::Config cfg =
-        fleet_handover_config(opts.rto_death_threshold);
-    cfg.probe_revival = opts.probe_revival;
-    cfg.keepalive_idle = opts.keepalive_idle;
-    cfg.stall_timeout = opts.stall_timeout;
-    cfg.stall_rescue = opts.stall_rescue;
+        fleet_handover_config(kRtoDeathThreshold);
+    cfg.keepalive_idle = kKeepaliveIdle;
+    cfg.stall_timeout = kStallTimeout;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
     cfg.receiver.enforce_recv_buf = true;
@@ -477,7 +499,7 @@ ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan,
   install_plan_faults(sim, host.network(), injector, plan);
 
   CbrSource::Options wl;
-  wl.schedule = {{TimeNs{0}, opts.cbr_bytes_per_sec}};
+  wl.schedule = {{TimeNs{0}, kCbrBytesPerSec}};
   wl.duration = plan.horizon - seconds(1);
   std::vector<std::unique_ptr<CbrSource>> sources;
   for (mptcp::MptcpConnection* conn : conns) {
@@ -485,7 +507,7 @@ ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan,
     sources.back()->start();
   }
 
-  sim.run_until(plan.horizon + opts.grace);
+  sim.run_until(plan.horizon + kGrace);
   checker.force_run(sim.now());
 
   v.invariants_ok = checker.ok();
@@ -520,7 +542,7 @@ ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan,
 }  // namespace
 
 ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
-  if (opts.hostile_spec) return run_chaos_plan_hostile(plan, opts);
+  if (opts.hostile_spec) return run_chaos_plan_hostile(plan);
   if (opts.memory_pressure) return run_chaos_plan_mem(plan, opts);
   sim::Simulator sim;
   // The network RNG is derived from the plan seed so link loss draws are
@@ -530,20 +552,16 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   install_fleet_network(net, /*wifi_ap_mbps=*/16, /*lte_cell_mbps=*/48);
 
   mptcp::MptcpConnection::Config cfg =
-      fleet_handover_config(opts.rto_death_threshold);
+      fleet_handover_config(kRtoDeathThreshold);
   cfg.network = &net;
-  cfg.probe_revival = opts.probe_revival;
-  cfg.keepalive_idle = opts.keepalive_idle;
-  cfg.stall_timeout = opts.stall_timeout;
-  cfg.stall_rescue = opts.stall_rescue;
-  if (opts.harden_receiver) {
-    cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
-    cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-    cfg.receiver.enforce_recv_buf = true;
-    cfg.receiver.coalesce_window_updates = true;
-    cfg.window_update_subflow = plan.wnd_update_subflow;
-    cfg.zero_window_probe = true;
-  }
+  cfg.keepalive_idle = kKeepaliveIdle;
+  cfg.stall_timeout = kStallTimeout;
+  cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
+  cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
+  cfg.receiver.enforce_recv_buf = true;
+  cfg.receiver.coalesce_window_updates = true;
+  cfg.window_update_subflow = plan.wnd_update_subflow;
+  cfg.zero_window_probe = true;
   cfg.middlebox_fallback = opts.middlebox_tamper;
   if (opts.capture_trace) {
     cfg.trace_enabled = true;
@@ -555,7 +573,7 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   conn.set_scheduler(sched::make_native_minrtt());
 
   InvariantChecker checker;
-  checker.set_stride(opts.invariant_stride);
+  checker.set_stride(kInvariantStride);
   mptcp::install_connection_invariants(checker, conn);
   sim.set_post_event_hook([&checker, &sim] { checker.run(sim.now()); });
 
@@ -563,12 +581,12 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   install_plan_faults(sim, net, injector, plan);
 
   CbrSource::Options wl;
-  wl.schedule = {{TimeNs{0}, opts.cbr_bytes_per_sec}};
+  wl.schedule = {{TimeNs{0}, kCbrBytesPerSec}};
   wl.duration = plan.horizon - seconds(1);
   CbrSource source(sim, conn, wl);
   source.start();
 
-  sim.run_until(plan.horizon + opts.grace);
+  sim.run_until(plan.horizon + kGrace);
   checker.force_run(sim.now());
 
   ChaosVerdict v;

@@ -59,7 +59,7 @@ struct ChaosPlan {
   TimeNs horizon = seconds(20);  ///< every fault is over before this
   std::vector<ChaosFault> faults;
 
-  // ---- Receiver shape (ChaosOptions::harden_receiver) ---------------------
+  // ---- Receiver shape -----------------------------------------------------
   // Drawn *after* the fault list so per-seed fault draws stay unchanged
   // across soak generations.
   std::int64_t recv_buf_bytes = 8 * 1024 * 1024;
@@ -84,48 +84,25 @@ struct ChaosPlan {
   [[nodiscard]] std::string str() const;
 };
 
+/// What a soak run varies. The rest is fixed (chaos.cpp): 2–6 faults per
+/// plan over a 20 s horizon plus 40 s of grace, a 250 KB/s CBR stream, the
+/// full robustness stack (RTO death threshold 3, probe-proven revival,
+/// 500 ms idle keepalives, a 2 s watchdog with stall rescue), a hardened
+/// receiver whose shape is drawn per seed, and heavy invariants every 16th
+/// event boundary.
 struct ChaosOptions {
-  // ---- Plan generation ----------------------------------------------------
-  int min_faults = 2;
-  int max_faults = 6;
-  TimeNs horizon = seconds(20);
-
-  // ---- Workload -----------------------------------------------------------
-  /// Constant-rate app writes from t=0 until one second before the horizon,
-  /// so every fault window in the plan hits live traffic (a bulk transfer
-  /// would finish in ~150 ms and leave most faults punching air). The rate is
-  /// well under either path's capacity: the stream must be recoverable, and
-  /// a 200-seed soak must stay affordable under ASan.
-  std::int64_t cbr_bytes_per_sec = 250'000;
-
-  // ---- Robustness stack armed during the run ------------------------------
-  int rto_death_threshold = 3;
-  bool probe_revival = true;
-  TimeNs keepalive_idle = milliseconds(500);
-  TimeNs stall_timeout = seconds(2);
-  bool stall_rescue = true;
-
-  // ---- Receive-window hardening -------------------------------------------
-  /// Randomize the receiver shape per seed — recv_buf size, app-read rate,
-  /// window-update routing (lossless side channel vs either real reverse
-  /// link) — and arm recv-buf enforcement, SWS window-update coalescing and
-  /// the zero-window persist timer. The app-read rate choices stay above
-  /// the CBR write rate so the stream remains drainable and final delivery
-  /// stays assertable.
-  bool harden_receiver = true;
   /// When positive, overrides the plan's drawn recv_buf_bytes — the CI
   /// small-buffer (256 KB) chaos variant.
   std::int64_t recv_buf_override = 0;
 
   // ---- Memory-pressure fleet ----------------------------------------------
-  /// Runs the plan against a mixed-priority fleet of `mem_conns` connections
+  /// Runs the plan against a mixed-priority fleet of four connections
   /// on one api::Host whose receive-memory pool is sized well under the
   /// aggregate demand (drawn per seed), with receive-buffer autotuning and
   /// the shed policy armed — the multi-tenant overload soak. Adds the
   /// host-level pool invariants (granted sum <= pool, rwnd <= grant) to the
   /// checker. Off = the single-connection soak, plans unchanged per seed.
   bool memory_pressure = false;
-  int mem_conns = 4;
 
   // ---- Middlebox interference ---------------------------------------------
   /// Adds one or two middlebox-tamper episodes (DSS-option stripping,
@@ -136,23 +113,14 @@ struct ChaosOptions {
   bool middlebox_tamper = false;
 
   // ---- Hostile-spec tenant ------------------------------------------------
-  /// Runs the plan against a small fleet on one api::Host where one tenant
-  /// tries to bring a hostile scheduler drawn per seed (ChaosPlan::
+  /// Runs the plan against three connections on one api::Host where one
+  /// tenant tries to bring a hostile scheduler drawn per seed (ChaosPlan::
   /// hostile_kind): malformed source and budget bombs must be refused at
   /// load; the fault flapper loads (WCET proof off, tiny budget), faults on
   /// every trigger and must end up quarantined with doubling cooldowns while
   /// the co-tenants on the same paths keep full delivery. Drawn after every
   /// pre-existing draw class so fault lists per seed are unchanged.
   bool hostile_spec = false;
-  int hostile_conns = 3;  ///< fleet size including the hostile tenant
-
-  // ---- Checking -----------------------------------------------------------
-  /// Stride for the heavy (full-scan) invariants; the cheap class still runs
-  /// at every event boundary.
-  std::uint64_t invariant_stride = 16;
-  /// Extra simulated time after the horizon for retransmissions, probe
-  /// revivals and the final delivery to settle.
-  TimeNs grace = seconds(40);
 
   /// Self-test hook: run with the deliberately-broken fail_subflow() that
   /// drops stranded packets instead of reinjecting them. The soak must

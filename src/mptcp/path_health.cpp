@@ -53,7 +53,6 @@ void PathHealthMonitor::on_link_restored(int s) {
 }
 
 void PathHealthMonitor::start_probing(int s) {
-  if (!conn_.config().probe_revival) return;
   Slot& st = slot(s);
   if (st.probing) return;
   st.probing = true;
@@ -140,9 +139,8 @@ void PathHealthMonitor::on_probe_ack(int s, std::uint32_t epoch,
     return;
   }
   if (++st.sane_streak >= kProbeRequiredAcks) {
-    ++st.slot_stats.probe_revivals;
     stop_probing(s);
-    conn_.revive_subflow(s, /*probe_proven=*/true);
+    conn_.revive_subflow(s);
     return;
   }
   // One sane echo in hand: collect the rest of the proof at RTT cadence
@@ -189,7 +187,7 @@ void PathHealthMonitor::keepalive_tick(int s) {
         // A silently-black idle path: no RTO will ever fire for it (nothing
         // is in flight), so the keepalive is the only detector. Declare the
         // death through the normal path — harvest, reinjection, scheduler
-        // trigger, and revival probing if enabled.
+        // trigger and revival probing.
         ++st.slot_stats.keepalive_deaths;
         conn_.fail_subflow(s);
         return;  // on_subflow_failed bumped the chain; no reschedule
@@ -220,7 +218,6 @@ void PathHealthMonitor::refresh_metrics(MetricsRegistry& m) const {
     *m.counter(p + "keepalives_sent") = st.slot_stats.keepalives_sent;
     *m.counter(p + "probe_acks") = st.slot_stats.probe_acks;
     *m.counter(p + "probe_insane_acks") = st.slot_stats.insane_acks;
-    *m.counter(p + "probe_revivals") = st.slot_stats.probe_revivals;
     *m.counter(p + "keepalive_deaths") = st.slot_stats.keepalive_deaths;
     *m.gauge(p + "probing") = st.probing ? 1 : 0;
     *m.gauge(p + "last_probe_rtt_us") = st.slot_stats.last_probe_rtt.us();
@@ -236,14 +233,12 @@ std::string PathHealthMonitor::proc_dump() const {
     std::snprintf(
         buf, sizeof buf,
         "path_health: sbf%d probing=%s probes=%lld keepalives=%lld "
-        "acks=%lld insane=%lld revivals=%lld keepalive_deaths=%lld "
-        "last_rtt_us=%lld\n",
+        "acks=%lld insane=%lld keepalive_deaths=%lld last_rtt_us=%lld\n",
         s, st.probing ? "yes" : "no",
         static_cast<long long>(st.slot_stats.probes_sent),
         static_cast<long long>(st.slot_stats.keepalives_sent),
         static_cast<long long>(st.slot_stats.probe_acks),
         static_cast<long long>(st.slot_stats.insane_acks),
-        static_cast<long long>(st.slot_stats.probe_revivals),
         static_cast<long long>(st.slot_stats.keepalive_deaths),
         static_cast<long long>(st.slot_stats.last_probe_rtt.us()));
     out += buf;

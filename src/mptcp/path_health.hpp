@@ -1,4 +1,4 @@
-// Active path-health probing (the "kernel re-probes" gap from ROADMAP).
+// Active path-health probing: the only way a failed subflow comes back.
 //
 // Two probing duties, both built from the same zero-payload keepalive probe
 // (a bare 60-byte header on the forward link, echoed as a pure ACK on the
@@ -6,11 +6,12 @@
 //
 //  * Revival probing — a *failed* subflow is probed on an exponential
 //    schedule (kProbeInterval doubling up to kProbeIntervalMax). Revival
-//    eligibility requires kProbeRequiredAcks consecutive probe echoes
-//    with sane RTT samples; a link up-transition no longer revives by
-//    itself, it merely resets the schedule and probes immediately. This is
-//    the end-to-end proof the up-transition cannot give: the link observer
-//    only sees the local segment, a probe echo proves the whole round trip.
+//    requires kProbeRequiredAcks consecutive probe echoes with sane RTT
+//    samples; a link up-transition does not revive by itself, it merely
+//    resets the schedule and probes immediately. This is the end-to-end
+//    proof the up-transition cannot give (the role of the MP_JOIN round
+//    trip, RFC 8684 §3.2): the link observer only sees the local segment, a
+//    probe echo proves the whole round trip.
 //  * Idle keepalives — an *established* subflow with nothing queued or in
 //    flight is probed every `keepalive_idle`; kKeepaliveMisses consecutive
 //    unanswered keepalives declare the subflow dead long before an RTO
@@ -21,9 +22,9 @@
 // Everything is epoch/chain-guarded against state transitions: `epoch`
 // invalidates probe echoes still in flight when the slot changes state,
 // `chain` invalidates pending probe timers when the schedule is restarted.
-// The monitor exists only when Config::probe_revival or keepalive_idle is
-// set, so default runs carry no extra events, RNG draws or trace output —
-// the seed bit-identity contract.
+// Every connection carries a monitor, but it schedules nothing until a
+// subflow fails or Config::keepalive_idle is set, so fault-free runs carry
+// no extra events, RNG draws or trace output.
 #pragma once
 
 #include <array>
@@ -50,7 +51,6 @@ class PathHealthMonitor {
     std::int64_t keepalives_sent = 0;   ///< idle keepalives on established ones
     std::int64_t probe_acks = 0;        ///< echoes received (either kind)
     std::int64_t insane_acks = 0;       ///< echoes whose RTT failed the sanity gate
-    std::int64_t probe_revivals = 0;    ///< revivals proven by probing
     std::int64_t keepalive_deaths = 0;  ///< deaths declared by missed keepalives
     TimeNs last_probe_rtt{0};
   };

@@ -258,11 +258,11 @@ class SubflowSender {
   sim::EventId rto_event_ = 0;
   int rto_backoff_ = 1;
   int consecutive_rtos_ = 0;  ///< RTOs since the last ACK progress
-  /// A revived subflow is on probation until its first ACK progress: the
-  /// up-transition only proved the link, not the path end-to-end, so a
-  /// single RTO (not rto_death_threshold_ of them) re-declares it dead
-  /// instead of letting a black revival wedge the connection for a full
-  /// backoff spiral.
+  /// A revived subflow is on probation until its first ACK progress: a few
+  /// bare probe echoes proved the round trip, not that the path carries
+  /// data, so a single RTO (not rto_death_threshold_ of them) re-declares
+  /// it dead instead of letting a black revival wedge the connection for a
+  /// full backoff spiral.
   bool probation_ = false;
 
   Stats stats_;

@@ -230,12 +230,10 @@ IrProgram optimize(IrProgram program, const OptOptions& opts) {
       }
     }
   }
-  if (opts.fold_constants) {
-    fold_constants(program);
-    fold_immediates(program);
-  }
-  if (opts.thread_jumps) thread_jumps(program);
-  if (opts.eliminate_dead_code) eliminate_dead_code(program);
+  fold_constants(program);
+  fold_immediates(program);
+  thread_jumps(program);
+  eliminate_dead_code(program);
   return program;
 }
 

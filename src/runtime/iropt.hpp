@@ -16,9 +16,6 @@ namespace progmp::rt {
 struct OptOptions {
   /// When >= 0, specialize for this number of established subflows.
   std::int64_t const_sbf_count = -1;
-  bool fold_constants = true;
-  bool eliminate_dead_code = true;
-  bool thread_jumps = true;
 };
 
 IrProgram optimize(IrProgram program, const OptOptions& opts = {});

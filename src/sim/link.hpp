@@ -203,7 +203,7 @@ class Link {
   /// indistinguishable from one that kills them too.
   void set_down();
   /// Restores the link and notifies the state observer (the connection uses
-  /// this to revive a subflow that was declared dead during the outage).
+  /// this to probe a subflow that was declared dead during the outage).
   void set_up();
   [[nodiscard]] bool is_up() const { return up_; }
 

@@ -194,25 +194,26 @@ TEST(ApiTest, ProcDumpReportsTraceOverflowAndPathHealthKnobs) {
   EXPECT_EQ(conn.metrics().counter_value("trace.overwritten"),
             static_cast<std::int64_t>(conn.tracer().overwritten()));
   // The resilience and path-health knob lines reflect the (default-off)
-  // configuration, one settable knob per field.
+  // configuration, one settable knob per field. Every connection carries a
+  // path-health monitor, so the per-slot lines are always there.
   EXPECT_NE(dump.find("\nresilience: rto_death_threshold=0\n"),
             std::string::npos);
-  EXPECT_NE(dump.find("\npath_health: probe_revival=off keepalive_idle=0ns "
-                      "stall_timeout=0ns stall_rescue=off\n"),
+  EXPECT_NE(dump.find("\npath_health: keepalive_idle=0ns stall_timeout=0ns\n"
+                      "path_health: sbf0 probing=no probes=0 keepalives=0 "),
             std::string::npos);
 
   // A connection built with the robustness stack armed shows the flipped
-  // knob line and the per-slot monitor lines.
+  // knob line.
   mptcp::MptcpConnection::Config armed_cfg = apps::lossy_config(0.0);
-  armed_cfg.probe_revival = true;
+  armed_cfg.keepalive_idle = milliseconds(500);
   armed_cfg.stall_timeout = seconds(2);
   mptcp::MptcpConnection armed_conn(sim, armed_cfg, Rng(9));
   ASSERT_TRUE(api.set_scheduler(armed_conn, "minrtt"));
   const std::string armed = ProgmpApi::proc_dump(armed_conn);
-  EXPECT_NE(armed.find("\npath_health: probe_revival=on keepalive_idle=0ns "
-                       "stall_timeout=2.000s stall_rescue=off\n"),
+  EXPECT_NE(armed.find("\npath_health: keepalive_idle=500.000ms "
+                       "stall_timeout=2.000s\n"),
             std::string::npos);
-  EXPECT_NE(armed.find("path_health: sbf0"), std::string::npos);
+  EXPECT_NE(armed.find("path_health: sbf1"), std::string::npos);
 }
 
 TEST(ApiTest, SetTraceSinkStreamsEvents) {

@@ -1,12 +1,14 @@
 // Path-failure resilience end to end: scripted link faults against a live
 // connection. Blackouts mid-transfer must not lose data, dead subflows must
-// revive on link restore, scheduler runtime faults must fall back to the
+// revive once the restored path answers probes, scheduler runtime faults
+// must fall back to the
 // built-in default, RTO backoff must stay clamped, and every faulted run
 // must replay bit-identically at the same seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,10 @@
 #include "core/trace.hpp"
 #include "mptcp/conn_invariants.hpp"
 #include "mptcp/connection.hpp"
+#include "mptcp/path_health.hpp"
+#include "mptcp/scheduler.hpp"
+#include "mptcp/skb_pool.hpp"
+#include "runtime/program.hpp"
 #include "sched/specs.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
@@ -31,14 +37,16 @@ std::unique_ptr<mptcp::Scheduler> minrtt() {
   return test::must_load(sched::specs::kMinRtt, rt::Backend::kEbpf, "minrttR");
 }
 
-/// Loads kMinRtt with a deliberately tiny instruction budget so every
-/// execution faults at runtime (budget exhaustion), exercising the
-/// containment path without needing a buggy spec.
-std::unique_ptr<mptcp::Scheduler> budget_starved_minrtt(rt::Backend backend) {
+/// Loads kMinRtt with an instruction budget that runs out right after the
+/// fresh-data POP: with two open subflows and data in Q, every execution
+/// takes a packet off Q and then faults at runtime (budget exhaustion)
+/// before it returns, so the engine must roll the POP back. The budget
+/// counts IR steps on the compiled backend and VM instructions on eBPF.
+std::unique_ptr<rt::ProgmpProgram> budget_starved_minrtt(rt::Backend backend) {
   DiagSink diags;
   rt::ProgmpProgram::LoadOptions options;
   options.backend = backend;
-  options.exec_budget = 8;  // far below any full execution
+  options.exec_budget = backend == rt::Backend::kCompiled ? 93 : 159;
   // The load-time WCET proof would (correctly) reject this combination;
   // skip it — the point here is exercising the *runtime* containment path.
   options.verify.absint = false;
@@ -46,6 +54,34 @@ std::unique_ptr<mptcp::Scheduler> budget_starved_minrtt(rt::Backend backend) {
                                          "starved_minrtt", options, diags);
   EXPECT_NE(program, nullptr) << diags.str();
   return program;
+}
+
+/// Whether one execution of `program` on two open subflows with data in Q
+/// POPs a packet and then faults — the case rollback exists for.
+bool pops_then_faults(rt::ProgmpProgram& program) {
+  mptcp::QueueBundle queues;
+  for (int i = 0; i < 4; ++i) {
+    mptcp::SkbPtr skb = mptcp::make_skb();
+    skb->meta_seq = static_cast<std::uint64_t>(i);
+    skb->size = 1400;
+    queues.q.push_back(skb);
+  }
+  std::vector<mptcp::SubflowInfo> infos(2);
+  for (int i = 0; i < 2; ++i) {
+    mptcp::SubflowInfo& info = infos[static_cast<std::size_t>(i)];
+    info.slot = i;
+    info.established = true;
+    info.cwnd = 10;
+    info.rtt = milliseconds(10 + 10 * i);
+    info.mss = 1400;
+  }
+  std::int64_t registers[MptcpConnection::kNumRegisters] = {};
+  mptcp::SchedulerStats stats;
+  mptcp::SchedulerContext ctx(TimeNs{0}, {}, infos, &queues, registers,
+                              MptcpConnection::kNumRegisters, 1 << 20,
+                              &stats);
+  program.schedule(ctx);
+  return ctx.faulted() && queues.q.size() == 3;
 }
 
 TEST(FaultResilienceTest, BlackoutMidTransferDeliversEverything) {
@@ -122,7 +158,11 @@ TEST(FaultResilienceTest, SchedulerFaultFallsBackToDefaultAndCompletes) {
     mptcp::MptcpConnection::Config cfg = apps::lossy_config(0.0);
     cfg.trace_enabled = true;
     MptcpConnection conn(sim, cfg, Rng(9));
-    conn.set_scheduler(budget_starved_minrtt(backend));
+    std::unique_ptr<rt::ProgmpProgram> program = budget_starved_minrtt(backend);
+    // Guard against drift (spec or code generation) moving the fault before
+    // the POP, which would leave the rollback nothing to undo.
+    ASSERT_TRUE(pops_then_faults(*program)) << rt::backend_name(backend);
+    conn.set_scheduler(std::move(program));
     // Every faulting execution is rolled back before the fallback runs: the
     // audit checks at each event boundary that the rollback left Q/QU/RQ
     // and the unacked ring consistent.
@@ -135,8 +175,9 @@ TEST(FaultResilienceTest, SchedulerFaultFallsBackToDefaultAndCompletes) {
     EXPECT_TRUE(checker.ok())
         << rt::backend_name(backend) << "\n" << checker.report();
 
-    // Every execution faulted, yet the transfer completed on the built-in
-    // fallback — a faulting program must never stall the connection.
+    // Executions that had data to place faulted, yet the transfer completed
+    // on the built-in fallback — a faulting program must never stall the
+    // connection.
     EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes())
         << rt::backend_name(backend);
     EXPECT_GT(conn.scheduler_stats().sched_faults, 0)
@@ -245,110 +286,18 @@ TEST(FaultResilienceTest, RandomizedFaultSoakAtFixedSeeds) {
   }
 }
 
-TEST(FaultResilienceTest, RevivalHysteresisDelaysReadmission) {
-  // With revival_min_uptime set, a restored link must stay up that long
-  // before the dead subflow is re-admitted — revival fires at restore +
-  // window, not at restore.
-  sim::Simulator sim;
-  mptcp::MptcpConnection::Config cfg =
-      apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.revival_min_uptime = milliseconds(500);
-  cfg.trace_enabled = true;
-  MptcpConnection conn(sim, cfg, Rng(42));
-  conn.set_scheduler(minrtt());
-
-  sim::FaultInjector faults(sim);
-  faults.blackout(conn.path(0), seconds(1), seconds(3));
-
-  conn.write(2000 * 1400);
-  sim.run_until(seconds(30));
-
-  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
-  EXPECT_EQ(conn.subflow(0).stats().revivals, 1);
-  for (const TraceEvent& e : conn.tracer().events()) {
-    if (e.type == TraceEventType::kSubflowRevived && e.subflow == 0) {
-      EXPECT_GE(e.at, seconds(3) + milliseconds(500));
-      EXPECT_LT(e.at, seconds(4));
-    }
-  }
-}
-
-TEST(FaultResilienceTest, FlappingPathIsNotReadmittedInsideTheWindow) {
-  // A path flapping faster than the hysteresis window never comes back:
-  // every up-period (300 ms) is shorter than revival_min_uptime (500 ms), so
-  // each pending revival is cancelled by the next down-transition. Only
-  // after the flapping stops does the subflow revive — once.
-  sim::Simulator sim;
-  mptcp::MptcpConnection::Config cfg =
-      apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.revival_min_uptime = milliseconds(500);
-  cfg.trace_enabled = true;
-  MptcpConnection conn(sim, cfg, Rng(42));
-  conn.set_scheduler(minrtt());
-
-  sim::FaultInjector faults(sim);
-  faults.blackout(conn.path(0), seconds(1), seconds(3));
-  faults.flap(conn.path(0), seconds(3), seconds(6), /*down_for=*/
-              milliseconds(200), /*up_for=*/milliseconds(300));
-
-  conn.write(4000 * 1400);
-  sim.run_until(seconds(60));
-
-  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
-  EXPECT_EQ(conn.subflow(0).stats().revivals, 1);
-  EXPECT_TRUE(conn.subflow(0).established());
-  for (const TraceEvent& e : conn.tracer().events()) {
-    if (e.type == TraceEventType::kSubflowRevived && e.subflow == 0) {
-      // Not during [3s, 6s) flapping — only after the last restore + window.
-      EXPECT_GE(e.at, seconds(6));
-    }
-  }
-}
-
-TEST(FaultResilienceTest, ZeroHysteresisRevivesImmediatelyOnRestore) {
-  // The seed behaviour (revival_min_uptime = 0) trusts the very first
-  // up-transition: under the same flap plan the subflow is re-admitted right
-  // at the t=3s restore, inside the flapping window — the churn the
-  // hysteresis exists to prevent.
-  sim::Simulator sim;
-  mptcp::MptcpConnection::Config cfg =
-      apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.trace_enabled = true;
-  MptcpConnection conn(sim, cfg, Rng(42));
-  conn.set_scheduler(minrtt());
-
-  sim::FaultInjector faults(sim);
-  faults.blackout(conn.path(0), seconds(1), seconds(3));
-  faults.flap(conn.path(0), seconds(3), seconds(6), /*down_for=*/
-              milliseconds(200), /*up_for=*/milliseconds(300));
-
-  conn.write(4000 * 1400);
-  sim.run_until(seconds(60));
-
-  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
-  ASSERT_GE(conn.subflow(0).stats().revivals, 1);
-  TimeNs first_revival = seconds(1000);
-  for (const TraceEvent& e : conn.tracer().events()) {
-    if (e.type == TraceEventType::kSubflowRevived && e.subflow == 0) {
-      first_revival = std::min(first_revival, e.at);
-    }
-  }
-  EXPECT_LT(first_revival, seconds(3) + milliseconds(500));
-}
-
 TEST(FaultResilienceTest, DeathLandingAfterRestoreStillRevives) {
   // RTO backoff can place the fatal consecutive RTO *after* the link came
-  // back up (short blackout): the revival check armed by the up-transition
-  // finds the subflow still established and does nothing, and no further
-  // up-transition ever arrives. The post-restore death amnesty must arm its
-  // own revival check or the subflow stays dead forever (regression: found
-  // driving 64-user fleets through a 1.8 s AP blackout).
+  // back up (short blackout): the up-transition finds the subflow still
+  // established, and no further up-transition ever arrives. The death itself
+  // starts probing the (up) path, and the answered probes revive it — the
+  // subflow must not stay dead forever (regression: found driving 64-user
+  // fleets through a 1.8 s AP blackout).
   sim::Simulator sim;
   sim::Network net(sim, Rng(99));
   apps::install_fleet_network(net);
   mptcp::MptcpConnection::Config cfg =
-      apps::fleet_handover_config(/*rto_death_threshold=*/3,
-                                  /*revival_min_uptime=*/milliseconds(50));
+      apps::fleet_handover_config(/*rto_death_threshold=*/3);
   cfg.network = &net;
   cfg.trace_enabled = true;
   // 28 MB of bulk data emit more tx/ack events than the default ring holds;
@@ -382,20 +331,23 @@ TEST(FaultResilienceTest, DeathLandingAfterRestoreStillRevives) {
   EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
   EXPECT_GE(conn.subflow(0).stats().revivals, 1);
   EXPECT_TRUE(conn.subflow(0).established());
-  // The amnesty revival still honours the hysteresis window.
-  EXPECT_GE(first_revival, death_at + milliseconds(50));
+  // The revival was earned by probes sent after the death: the first one
+  // goes out kProbeInterval after it.
+  EXPECT_GE(conn.path_health().stats(0).probe_acks,
+            mptcp::PathHealthMonitor::kProbeRequiredAcks);
+  EXPECT_GE(first_revival,
+            death_at + mptcp::PathHealthMonitor::kProbeInterval);
 }
 
 TEST(FaultResilienceTest, CongestionDeathWithoutOutageGetsNoAmnesty) {
-  // A death on a link that never went down gets no amnesty: the path proved
-  // black while "up", so re-admitting it would just wedge the connection
-  // again (and again) while backup failover starves. The subflow stays dead
-  // until a genuine restore — which never comes here — and LTE carries the
-  // rest of the stream.
+  // A death on a link that never went down, on a path that stays black
+  // while "up": its probes go unanswered, so the subflow stays dead instead
+  // of churning die/revive (which would wedge the connection again and
+  // again while backup failover starves), and LTE carries the rest of the
+  // stream.
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.revival_min_uptime = milliseconds(50);
   cfg.trace_enabled = true;
   MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(minrtt());
@@ -412,6 +364,11 @@ TEST(FaultResilienceTest, CongestionDeathWithoutOutageGetsNoAmnesty) {
   EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
   EXPECT_EQ(conn.subflow(0).stats().revivals, 0);
   EXPECT_FALSE(conn.subflow(0).established());
+  // The dead path was probed the whole time, and never answered.
+  const mptcp::PathHealthMonitor::SlotStats& ph = conn.path_health().stats(0);
+  EXPECT_GT(ph.probes_sent, 0);
+  EXPECT_EQ(ph.probe_acks, 0);
+  EXPECT_TRUE(conn.path_health().probing(0));
 }
 
 TEST(FaultResilienceTest, RtoBackoffCollapsesAfterAckProgress) {

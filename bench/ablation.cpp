@@ -86,7 +86,9 @@ int main() {
   using namespace progmp::bench;
 
   print_header("Ablation — runtime optimizations of §4.1, knocked out",
-               "every listed optimization must pay for itself");
+               "IR optimization shrinks the code (minrtt: 450 -> 428 eBPF "
+               "insns) and saves executed instructions only without "
+               "subflow-count specialization (149 -> 141 insns/exec)");
 
   // ---- IR pipeline & specialization: execution time -------------------------
   // Pass/fail reads the executed instructions per execution, which are

@@ -1,23 +1,18 @@
-// Receive-window hardening — the zero-window deadlock experiment.
+// The receive window under a lost window update.
 //
-// Part 1, the deadlock matrix: a sender fills the receive buffer exactly
+// Part 1, the zero-window outage: a sender fills the receive buffer exactly
 // (the final ACK advertises rwnd=0), the reverse path blacks out before the
-// slow reader's first window update escapes, and more data is written. The
-// same outage is run three ways:
+// slow reader's first window update escapes, and more data is written.
+// Every window update dies on the downed link and the receiver has no
+// reason to send another one — the deadlock RFC 9293 §3.8.6.1 exists to
+// prevent. The persist timer keeps probing on exponential backoff; the
+// first echo after the heal reopens the window and the transfer completes
+// with bounded recovery latency.
 //
-//   - seed side channel (window_update_subflow=-1): updates teleport past
-//     the dead link, the outage is invisible — the modelling gap.
-//   - routed updates (subflow 0), no persist timer: every update dies on
-//     the downed link and the connection wedges forever, even long after
-//     the path heals — the deadlock RFC 9293 §3.8.6.1 exists to prevent.
-//   - routed updates + zero-window probes: the persist timer keeps probing
-//     on exponential backoff; the first echo after the heal reopens the
-//     window and the transfer completes with bounded recovery latency.
-//
-// Part 2, buffer pressure: goodput of a routed-updates transfer over a
-// 40 Mbit/s, 40 ms RTT path as recv_buf sweeps 32 KB -> 1 MB. Small
-// buffers pin goodput at ~rwnd/RTT; once rwnd exceeds the bandwidth-delay
-// product (200 KB) the line rate takes over.
+// Part 2, buffer pressure: goodput of a transfer over a 40 Mbit/s, 40 ms
+// RTT path as recv_buf sweeps 32 KB -> 1 MB. Small buffers pin goodput at
+// ~rwnd/RTT; once rwnd exceeds the bandwidth-delay product (200 KB) the
+// line rate takes over.
 #include <cstdio>
 #include <vector>
 
@@ -43,13 +38,11 @@ struct OutageResult {
   std::vector<TimeNs> probe_times;
 };
 
-OutageResult run_outage(int window_update_subflow, bool zero_window_probe) {
+OutageResult run_outage() {
   sim::Simulator sim;
   auto cfg = apps::single_path_config({});
   cfg.receiver.recv_buf_bytes = kBuf;
   cfg.receiver.app_read_bytes_per_sec = 20'000;
-  cfg.window_update_subflow = window_update_subflow;
-  cfg.zero_window_probe = zero_window_probe;
   cfg.trace_enabled = true;
   cfg.trace_capacity = 1 << 16;
   mptcp::MptcpConnection conn(sim, cfg, Rng(21));
@@ -84,8 +77,6 @@ GoodputPoint run_goodput(std::int64_t recv_buf) {
   auto cfg = apps::single_path_config({/*rate_mbps=*/40,
                                        /*one_way_delay=*/milliseconds(20)});
   cfg.receiver.recv_buf_bytes = recv_buf;
-  cfg.window_update_subflow = 0;
-  cfg.zero_window_probe = true;
   mptcp::MptcpConnection conn(sim, cfg, Rng(7));
   conn.set_scheduler(load_builtin("minrtt"));
 
@@ -107,30 +98,20 @@ int main() {
   using namespace progmp::bench;
 
   print_header(
-      "Receive-window hardening — lost window updates and the persist timer",
-      "RFC 9293 §3.8.6.1 via §4.1's failure handling: a lossless "
-      "window-update side channel masks a deadlock that routed updates "
-      "expose and only zero-window probing survives");
+      "Receive window — lost window updates and the persist timer",
+      "RFC 9293 §3.8.6.1 via §4.1's failure handling: window updates die "
+      "on a downed reverse link and only zero-window probing reopens the "
+      "window");
 
-  const OutageResult side_channel =
-      run_outage(/*window_update_subflow=*/-1, /*zero_window_probe=*/false);
-  const OutageResult routed =
-      run_outage(/*window_update_subflow=*/0, /*zero_window_probe=*/false);
-  const OutageResult probed =
-      run_outage(/*window_update_subflow=*/0, /*zero_window_probe=*/true);
+  const OutageResult probed = run_outage();
 
   Table table({"window updates", "persist timer", "delivered/written",
                "sender rwnd at end", "probes", "last delivery"});
-  auto row = [&](const char* label, const char* persist,
-                 const OutageResult& r) {
-    table.add_row({label, persist,
-                   std::to_string(r.delivered) + "/" + std::to_string(r.written),
-                   std::to_string(r.rwnd) + " B", std::to_string(r.probes),
-                   r.last_delivery.str()});
-  };
-  row("side channel (seed)", "off", side_channel);
-  row("routed over subflow 0", "off", routed);
-  row("routed over subflow 0", "on", probed);
+  table.add_row({"subflow 0 reverse link", "on",
+                 std::to_string(probed.delivered) + "/" +
+                     std::to_string(probed.written),
+                 std::to_string(probed.rwnd) + " B",
+                 std::to_string(probed.probes), probed.last_delivery.str()});
   std::printf("%s", table.str().c_str());
 
   std::printf("\nZero-window probe schedule (reverse path dead [50ms, 3s)):\n");
@@ -155,15 +136,6 @@ int main() {
 
   std::printf("\nShape checks vs the model:\n");
   bool ok = true;
-  ok &= check_shape(
-      "the seed's lossless side channel fully masks the outage (everything "
-      "delivered without a single probe)",
-      side_channel.delivered == side_channel.written &&
-          side_channel.probes == 0);
-  ok &= check_shape(
-      "routed updates without probing deadlock forever: the second write "
-      "never moves although the path healed 27 s before the end",
-      routed.delivered == routed.written / 2 && routed.rwnd == 0);
   ok &= check_shape(
       "zero-window probing recovers the whole transfer after the heal",
       probed.delivered == probed.written && probed.probes > 0);

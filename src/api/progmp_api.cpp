@@ -203,12 +203,9 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
   out += conn.path_health().proc_dump();
   const mptcp::Receiver& rx = conn.receiver();
   std::snprintf(buf, sizeof buf,
-                "rwnd: window_update_subflow=%d zero_window_probe=%s "
-                "probes=%lld persist_armed=%s updates_routed=%lld "
+                "rwnd: probes=%lld persist_armed=%s updates_routed=%lld "
                 "recv_buf_drops=%lld dups_net=%lld dups_dsack=%lld "
                 "buf_target=%lld buf_limit=%lld autotune=%s\n",
-                cc.window_update_subflow,
-                cc.zero_window_probe ? "on" : "off",
                 static_cast<long long>(conn.zero_window_probes()),
                 conn.persist_armed() ? "yes" : "no",
                 static_cast<long long>(conn.wnd_updates_routed()),

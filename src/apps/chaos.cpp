@@ -132,8 +132,7 @@ std::string ChaosPlan::str() const {
                     " horizon=" + horizon.str() +
                     " faults=" + std::to_string(faults.size()) + "\n";
   out += "  receiver recv_buf=" + std::to_string(recv_buf_bytes) +
-         " app_read=" + std::to_string(app_read_bytes_per_sec) +
-         " wnd_update_subflow=" + std::to_string(wnd_update_subflow) + "\n";
+         " app_read=" + std::to_string(app_read_bytes_per_sec) + "\n";
   if (pool_bytes > 0) {
     out += "  mem_pool pool=" + std::to_string(pool_bytes) + " priorities=";
     for (std::size_t i = 0; i < priorities.size(); ++i) {
@@ -193,7 +192,7 @@ ChaosPlan make_chaos_plan(std::uint64_t seed, const ChaosOptions& opts) {
     plan.faults.push_back(f);
   }
   // Receiver-shape draws come after the fault loop on purpose: the fault
-  // list for a given seed is unchanged from pre-hardening soaks. Every
+  // list for a given seed is unchanged from earlier soaks. Every
   // app-read rate stays above the CBR write rate, so the stream remains
   // drainable and final delivery stays assertable.
   static constexpr std::int64_t kBufs[] = {256 * 1024, 512 * 1024,
@@ -202,8 +201,6 @@ ChaosPlan make_chaos_plan(std::uint64_t seed, const ChaosOptions& opts) {
   static constexpr std::int64_t kReads[] = {0, 400'000, 750'000, 1'500'000};
   plan.recv_buf_bytes = kBufs[rng.next_range(0, 3)];
   plan.app_read_bytes_per_sec = kReads[rng.next_range(0, 3)];
-  // -1 side channel, 0 wifi_ap reverse, 1 lte_cell reverse.
-  plan.wnd_update_subflow = static_cast<int>(rng.next_range(0, 2)) - 1;
   if (opts.recv_buf_override > 0) {
     plan.recv_buf_bytes = opts.recv_buf_override;
   }
@@ -329,10 +326,6 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.autotune = true;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-    cfg.receiver.enforce_recv_buf = true;
-    cfg.receiver.coalesce_window_updates = true;
-    cfg.window_update_subflow = plan.wnd_update_subflow;
-    cfg.zero_window_probe = true;
     cfg.middlebox_fallback = opts.middlebox_tamper;
     mptcp::MptcpConnection* conn = host.open_connection(cfg, "minrtt", &err);
     // The plan draws the pool large enough for every admission minimum —
@@ -476,10 +469,6 @@ ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan) {
     cfg.stall_timeout = kStallTimeout;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-    cfg.receiver.enforce_recv_buf = true;
-    cfg.receiver.coalesce_window_updates = true;
-    cfg.window_update_subflow = plan.wnd_update_subflow;
-    cfg.zero_window_probe = true;
     const bool hostile_tenant = i == 0;
     mptcp::MptcpConnection* conn = host.open_connection(
         cfg, hostile_tenant ? hostile_sched : "minrtt", &err);
@@ -558,10 +547,6 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   cfg.stall_timeout = kStallTimeout;
   cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
   cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-  cfg.receiver.enforce_recv_buf = true;
-  cfg.receiver.coalesce_window_updates = true;
-  cfg.window_update_subflow = plan.wnd_update_subflow;
-  cfg.zero_window_probe = true;
   cfg.middlebox_fallback = opts.middlebox_tamper;
   if (opts.capture_trace) {
     cfg.trace_enabled = true;

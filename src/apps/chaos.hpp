@@ -64,7 +64,6 @@ struct ChaosPlan {
   // across soak generations.
   std::int64_t recv_buf_bytes = 8 * 1024 * 1024;
   std::int64_t app_read_bytes_per_sec = 0;  ///< 0 = instant reader
-  int wnd_update_subflow = -1;  ///< -1 = lossless side channel, else routed
 
   // ---- Memory-pressure fleet (ChaosOptions::memory_pressure) --------------
   // Drawn after the receiver shape, again for per-seed stability. Empty /
@@ -87,9 +86,9 @@ struct ChaosPlan {
 /// What a soak run varies. The rest is fixed (chaos.cpp): 2–6 faults per
 /// plan over a 20 s horizon plus 40 s of grace, a 250 KB/s CBR stream, the
 /// full robustness stack (RTO death threshold 3, probe-proven revival,
-/// 500 ms idle keepalives, a 2 s watchdog with stall rescue), a hardened
-/// receiver whose shape is drawn per seed, and heavy invariants every 16th
-/// event boundary.
+/// 500 ms idle keepalives, a 2 s watchdog with stall rescue), a receiver
+/// whose buffer and read rate are drawn per seed, and heavy invariants
+/// every 16th event boundary.
 struct ChaosOptions {
   /// When positive, overrides the plan's drawn recv_buf_bytes — the CI
   /// small-buffer (256 KB) chaos variant.

@@ -42,7 +42,8 @@ enum class TraceEventType : std::uint8_t {
   kRto,                 ///< retransmission timeout fired (a=backoff)
   kCwndChange,          ///< congestion window changed (a=reason, b=new cwnd)
   kDeliver,             ///< in-order delivery to the application (b=size, c=meta_seq)
-  kWindowUpdate,        ///< receiver reopened its window (b=rwnd bytes)
+  kWindowUpdate,        ///< receiver reopened its window (a=previously
+                        ///< advertised rwnd, b=rwnd bytes)
   kLinkDown,            ///< injected link fault (a=direction: 0 fwd, 1 rev)
   kLinkUp,              ///< link restored (a=direction: 0 fwd, 1 rev)
   kLinkDrop,            ///< link dropped a packet (a=DropCause, b=wire bytes)

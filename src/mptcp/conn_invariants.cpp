@@ -149,14 +149,12 @@ void install_connection_invariants(InvariantChecker& checker,
                  std::to_string(rx.rwnd_bytes()) + ", sender view " +
                  std::to_string(conn.rwnd_bytes());
         }
-        // The occupancy bound only holds once enforcement is on — without
-        // it the reassembly buffers are unbounded by design (seed mode).
-        // The bound is the liability envelope, not the raw target: after a
-        // pool reclaim shrank the buffer, data sent against the pre-shrink
-        // advertisement is still legitimate until consumed (== the static
-        // recv_buf_bytes whenever the buffer was never resized).
-        if (rx.config().enforce_recv_buf &&
-            rx.buffered_bytes() > rx.mem_liability_bytes()) {
+        // The occupancy bound is the liability envelope, not the raw
+        // target: after a pool reclaim shrank the buffer, data sent against
+        // the pre-shrink advertisement is still legitimate until consumed
+        // (== the static recv_buf_bytes whenever the buffer was never
+        // resized).
+        if (rx.buffered_bytes() > rx.mem_liability_bytes()) {
           return "receive buffer overrun: unread+ooo " +
                  std::to_string(rx.buffered_bytes()) + " > liability " +
                  std::to_string(rx.mem_liability_bytes());

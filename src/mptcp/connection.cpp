@@ -305,32 +305,26 @@ void MptcpConnection::revive_subflow(int slot) {
   trigger({TriggerKind::kSubflowAdded, slot});
 }
 
+int MptcpConnection::carrier_slot() const {
+  for (int s = 0; s < subflow_count(); ++s) {
+    if (subflows_[static_cast<std::size_t>(s)]->established()) return s;
+  }
+  return 0;
+}
+
 void MptcpConnection::deliver_window_update(std::int64_t wnd_stamp,
                                             std::int64_t rwnd) {
-  const int slot = cfg_.window_update_subflow;
-  if (slot >= 0 && slot < subflow_count()) {
-    // Routed: the update rides the subflow's real reverse link as a pure
-    // ACK — it queues behind other ACKs, pays serialization and delay, and
-    // dies in blackouts, drops or a full queue like anything on the wire.
-    ++wnd_updates_routed_;
-    std::weak_ptr<int> guard{alive_};
-    paths_[static_cast<std::size_t>(slot)]->reverse.send(
-        SubflowSender::kAckBytes, nullptr, [this, guard, wnd_stamp, rwnd] {
-          if (guard.expired()) return;
-          ++wnd_updates_delivered_;
-          apply_window_update(wnd_stamp, rwnd);
-        });
-    return;
-  }
-  // Seed side channel: a window update travels back like an ACK; model it
-  // with the first subflow's reverse-path delay, immune to loss.
-  const TimeNs delay = paths_.empty() ? TimeNs{0}
-                                      : paths_.front()->reverse.config().delay;
+  // The update rides the carrier's real reverse link as a pure ACK: it
+  // queues behind other ACKs, pays serialization and delay, and dies in
+  // blackouts, drops or a full queue like anything on the wire.
+  ++wnd_updates_routed_;
   std::weak_ptr<int> guard{alive_};
-  sim_.schedule_after(delay, [this, guard, wnd_stamp, rwnd] {
-    if (guard.expired()) return;
-    apply_window_update(wnd_stamp, rwnd);
-  });
+  paths_[static_cast<std::size_t>(carrier_slot())]->reverse.send(
+      SubflowSender::kAckBytes, nullptr, [this, guard, wnd_stamp, rwnd] {
+        if (guard.expired()) return;
+        ++wnd_updates_delivered_;
+        apply_window_update(wnd_stamp, rwnd);
+      });
 }
 
 void MptcpConnection::apply_window_update(std::int64_t wnd_stamp,
@@ -359,36 +353,31 @@ void MptcpConnection::apply_window(std::int64_t wnd_stamp, std::int64_t rwnd) {
 }
 
 bool MptcpConnection::rwnd_blocked() const {
-  bool any_established = false;
-  std::int64_t in_flight = 0;
-  bool pending = !queues_.q.empty();
-  for (const auto& sbf : subflows_) {
-    if (sbf->established()) any_established = true;
-    in_flight += sbf->in_flight();
-    pending = pending || sbf->queued() > 0;
-  }
-  // With data in flight the ACK clock (or the RTO) still runs — the persist
-  // timer only covers the state where no other timer will ever fire.
-  if (!any_established || !pending || in_flight > 0) return false;
   // Free window for the next packet. Reinjections sit below the transmitted
   // right edge and always fit, so RQ alone never counts as window-blocked.
+  // Checked first: it is O(1) and an open window is the common case.
   const std::int64_t claimed =
       static_cast<std::int64_t>(right_edge_bytes_ - meta_una_bytes_);
   const std::int64_t need =
       queues_.q.empty() ? subflows_.front()->config().mss
                         : queues_.q.front()->size;
-  return rwnd_ - claimed < need;
+  if (rwnd_ - claimed >= need) return false;
+  // With data in flight the ACK clock (or the RTO) still runs — the persist
+  // timer only covers the state where no other timer will ever fire.
+  bool any_established = false;
+  bool pending = !queues_.q.empty();
+  for (const auto& sbf : subflows_) {
+    if (sbf->in_flight() > 0) return false;
+    if (sbf->established()) any_established = true;
+    pending = pending || sbf->queued() > 0;
+  }
+  return any_established && pending;
 }
 
 void MptcpConnection::maybe_arm_persist() {
-  if (!cfg_.zero_window_probe) return;
   if (!rwnd_blocked()) {
-    if (persist_armed_) {
-      // The window opened (or the data drained): cancel the probe chain.
-      persist_armed_ = false;
-      persist_backoff_ = 1;
-      ++persist_epoch_;
-    }
+    // The window opened (or the data drained): cancel the probe chain.
+    cancel_persist_chain();
     return;
   }
   if (persist_armed_) return;
@@ -408,19 +397,11 @@ void MptcpConnection::schedule_persist_probe(std::uint64_t epoch) {
     if (guard.expired()) return;
     if (epoch != persist_epoch_) return;  // chain was cancelled
     if (!rwnd_blocked()) {
-      persist_armed_ = false;
-      persist_backoff_ = 1;
-      ++persist_epoch_;
+      cancel_persist_chain();
       return;
     }
-    // Probe on the first established subflow; with none alive keep the
-    // chain ticking — a revival re-establishes a carrier for the probe.
-    for (int s = 0; s < subflow_count(); ++s) {
-      if (subflows_[static_cast<std::size_t>(s)]->established()) {
-        send_zero_window_probe(s);
-        break;
-      }
-    }
+    // rwnd_blocked() implies an established subflow: the carrier is live.
+    send_zero_window_probe(carrier_slot());
     persist_backoff_ = std::min(persist_backoff_ * 2, 1 << 16);
     schedule_persist_probe(epoch);
   });

@@ -119,24 +119,6 @@ class MptcpConnection {
     /// 0 = off (default).
     TimeNs stall_timeout{0};
 
-    // ---- Receive-window hardening -------------------------------------------
-    /// Window-update transport. -1 (the seed default) delivers app-read
-    /// window updates over a lossless side channel delayed by the first
-    /// subflow's reverse-path latency. >= 0 routes them over that subflow's
-    /// real reverse link as pure ACKs, where they queue, pay serialization
-    /// and die in blackouts or drops like anything else on the wire — an
-    /// ack_blackout can then silently close the window forever, which is
-    /// exactly what zero_window_probe below exists to survive.
-    int window_update_subflow = -1;
-    /// RFC 9293 §3.8.6.1 persist timer: when the advertised window cannot
-    /// fit the next packet, nothing is in flight (so no RTO is armed) and
-    /// data is waiting, probe the window on an exponential backoff
-    /// (kPersistInterval doubling up to kPersistIntervalMax). The probe's
-    /// pure-ACK echo carries the live window, so a lost window update can
-    /// no longer deadlock the connection. Raises TriggerKind::kRwndLimited
-    /// once per blocked episode. Off = seed behaviour.
-    bool zero_window_probe = false;
-
     // ---- Middlebox-interference fallback (RFC 8684 §3.7) --------------------
     /// Arms the fallback state machine: receiver-side detection (DSS
     /// checksum validation + mapping-loss reporting; implies
@@ -297,12 +279,22 @@ class MptcpConnection {
     return right_edge_bytes_;
   }
 
-  // ---- Receive-window hardening introspection -----------------------------
+  // ---- Receive window -----------------------------------------------------
+  // App-read window updates travel as pure ACKs on the reverse link of the
+  // carrier subflow (carrier_slot()), where they queue, pay serialization
+  // and die in blackouts or drops like anything else on the wire. The RFC
+  // 9293 §3.8.6.1 persist timer covers the loss: when the advertised window
+  // cannot fit the next packet, nothing is in flight (so no RTO is armed)
+  // and data is waiting, the window is probed on the carrier on an
+  // exponential backoff (kPersistInterval doubling up to
+  // kPersistIntervalMax). The probe's pure-ACK echo carries the live
+  // window. Each blocked episode raises TriggerKind::kRwndLimited once.
+
   /// Zero-window probes the persist timer put on the wire.
   [[nodiscard]] std::int64_t zero_window_probes() const {
     return zero_window_probes_;
   }
-  /// Window updates routed over a real reverse link / that survived it.
+  /// Window updates put on a reverse link / that survived it.
   [[nodiscard]] std::int64_t wnd_updates_routed() const {
     return wnd_updates_routed_;
   }
@@ -388,15 +380,18 @@ class MptcpConnection {
                        std::int64_t wnd_stamp);
   void handle_loss_suspected(int slot, const SkbPtr& skb);
   void detach_everywhere(const SkbPtr& skb);
-  /// Transports an app-read window update to the sender side — over the
-  /// seed's lossless side channel or a real reverse link (Config knob).
+  /// The subflow that carries window updates and persist probes: the first
+  /// established one, else slot 0.
+  [[nodiscard]] int carrier_slot() const;
+  /// Sends an app-read window update to the sender side as a pure ACK on
+  /// the carrier's reverse link.
   void deliver_window_update(std::int64_t wnd_stamp, std::int64_t rwnd);
   void apply_window_update(std::int64_t wnd_stamp, std::int64_t rwnd);
   /// RFC 9293 §3.10.7.4 (WL1/WL2) staleness guard, keyed on the receiver's
   /// emission-order stamp: only a strictly newer advertisement may change
   /// the window view. Ordering by cumulative ack alone is not enough — on
   /// asymmetric paths a slow subflow's ACK arrives with a fresher meta_ack
-  /// but an older window snapshot than the side-channel updates it raced,
+  /// but an older window snapshot than the window updates it raced,
   /// and letting it win wedges the sender on a long-reopened window.
   void apply_window(std::int64_t wnd_stamp, std::int64_t rwnd);
   /// Receiver reported an unusable data-level mapping (stripped DSS option
@@ -457,7 +452,7 @@ class MptcpConnection {
   // ---- Persist (zero-window probe) state ----------------------------------
   bool persist_armed_ = false;
   int persist_backoff_ = 1;  ///< interval multiplier; doubles per probe
-  /// Bumped to cancel a pending probe chain (window opened, knob flipped).
+  /// Bumped to cancel a pending probe chain (window opened, carrier gone).
   std::uint64_t persist_epoch_ = 0;
   std::int64_t zero_window_probes_ = 0;
   std::int64_t wnd_updates_routed_ = 0;

@@ -12,9 +12,10 @@ PathHealthMonitor::PathHealthMonitor(sim::Simulator& sim,
     : sim_(sim), conn_(conn) {}
 
 void PathHealthMonitor::on_subflow_attached(int s) {
-  Slot& st = slot(s);
-  if (st.attached) return;
-  st.attached = true;
+  if (attached(s)) return;
+  PROGMP_CHECK(s == static_cast<int>(slots_.size()));
+  slots_.emplace_back();
+  Slot& st = slots_.back();
   st.baseline_rtt = conn_.path(s).base_rtt();
   if (conn_.subflow(s).state() == SubflowSender::State::kEstablished) {
     start_keepalive(s);
@@ -22,8 +23,8 @@ void PathHealthMonitor::on_subflow_attached(int s) {
 }
 
 void PathHealthMonitor::on_subflow_failed(int s) {
+  if (!attached(s)) return;
   Slot& st = slot(s);
-  if (!st.attached) return;
   ++st.chain;  // kill the keepalive timer
   st.keepalive_outstanding = false;
   st.keepalive_miss_streak = 0;
@@ -31,8 +32,7 @@ void PathHealthMonitor::on_subflow_failed(int s) {
 }
 
 void PathHealthMonitor::on_subflow_revived(int s) {
-  Slot& st = slot(s);
-  if (!st.attached) return;
+  if (!attached(s)) return;
   stop_probing(s);
   start_keepalive(s);
 }
@@ -212,7 +212,6 @@ TimeNs PathHealthMonitor::sane_rtt_ceiling(int s) const {
 void PathHealthMonitor::refresh_metrics(MetricsRegistry& m) const {
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
     const Slot& st = slots_[static_cast<std::size_t>(s)];
-    if (!st.attached) continue;
     const std::string p = "sbf" + std::to_string(s) + ".";
     *m.counter(p + "probes_sent") = st.slot_stats.probes_sent;
     *m.counter(p + "keepalives_sent") = st.slot_stats.keepalives_sent;
@@ -229,7 +228,6 @@ std::string PathHealthMonitor::proc_dump() const {
   char buf[224];
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
     const Slot& st = slots_[static_cast<std::size_t>(s)];
-    if (!st.attached) continue;
     std::snprintf(
         buf, sizeof buf,
         "path_health: sbf%d probing=%s probes=%lld keepalives=%lld "

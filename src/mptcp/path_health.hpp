@@ -27,10 +27,10 @@
 // no extra events, RNG draws or trace output.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/time.hpp"
 #include "mptcp/skb.hpp"
@@ -58,8 +58,8 @@ class PathHealthMonitor {
   PathHealthMonitor(sim::Simulator& sim, MptcpConnection& conn);
 
   // ---- Lifecycle notifications from the connection ------------------------
-  /// A subflow slot exists (construction or add_subflow). Starts keepalives
-  /// if the subflow is established.
+  /// A subflow slot exists (construction or add_subflow; slots attach in
+  /// order). Starts keepalives if the subflow is established.
   void on_subflow_attached(int slot);
   void on_subflow_failed(int slot);
   void on_subflow_revived(int slot);
@@ -92,7 +92,6 @@ class PathHealthMonitor {
 
  private:
   struct Slot {
-    bool attached = false;
     bool probing = false;
     std::uint32_t epoch = 0;   ///< invalidates in-flight probe echoes
     std::uint64_t chain = 0;   ///< invalidates pending probe/keepalive timers
@@ -108,6 +107,9 @@ class PathHealthMonitor {
     SlotStats slot_stats;
   };
 
+  [[nodiscard]] bool attached(int s) const {
+    return s < static_cast<int>(slots_.size());
+  }
   [[nodiscard]] Slot& slot(int s) {
     return slots_[static_cast<std::size_t>(s)];
   }
@@ -129,7 +131,9 @@ class PathHealthMonitor {
 
   sim::Simulator& sim_;
   MptcpConnection& conn_;
-  std::array<Slot, kMaxSubflows> slots_{};
+  /// One entry per attached subflow slot: a fleet connection with two
+  /// subflows carries two, not kMaxSubflows.
+  std::vector<Slot> slots_;
 
   /// Lifetime token for probe echoes and timers (the monitor can be torn
   /// down with probes still on the wire).

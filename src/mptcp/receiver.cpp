@@ -23,8 +23,8 @@ AckInfo Receiver::on_data(const DataSegment& seg) {
   // up). In-order data always fits — the advertised window already charges
   // for unread bytes, and OOO data inside the advertised span never shrank
   // it — so only the slow-path-fills-the-buffer pathology is cut off here.
-  if (cfg_.enforce_recv_buf && would_park(rx, seg) &&
-      buffered_bytes() + seg.size > mem_liability_bytes()) {
+  if (buffered_bytes() + seg.size > mem_liability_bytes() &&
+      would_park(rx, seg)) {
     ++recv_buf_drops_;
     if (trace_ != nullptr) {
       trace_->emit(TraceEventType::kRecvBufDrop, sim_.now(), seg.sbf_slot,
@@ -289,23 +289,22 @@ void Receiver::schedule_app_read() {
 void Receiver::maybe_emit_window_update() {
   constexpr std::int64_t kSwsMssBytes = 1400;
   const std::int64_t rwnd = rwnd_bytes();
-  if (cfg_.coalesce_window_updates) {
-    // SWS avoidance (RFC 9293 §3.8.6.2.2): silly little window advances are
-    // swallowed; only a window opening from zero or a full-MSS gain since
-    // the last advertisement is worth an update of its own.
-    const bool opens_from_zero = last_advertised_rwnd_ <= 0 && rwnd > 0;
-    const bool grew_an_mss = rwnd - last_advertised_rwnd_ >= kSwsMssBytes;
-    if (!opens_from_zero && !grew_an_mss) {
-      ++window_updates_coalesced_;
-      return;
-    }
+  // SWS avoidance (RFC 9293 §3.8.6.2.2): silly little window advances are
+  // swallowed; only a window opening from zero or a full-MSS gain since the
+  // last advertisement is worth an update of its own.
+  const bool opens_from_zero = last_advertised_rwnd_ <= 0 && rwnd > 0;
+  const bool grew_an_mss = rwnd - last_advertised_rwnd_ >= kSwsMssBytes;
+  if (!opens_from_zero && !grew_an_mss) {
+    ++window_updates_coalesced_;
+    return;
   }
   ++window_updates_emitted_;
+  if (trace_ != nullptr) {
+    trace_->emit(TraceEventType::kWindowUpdate, sim_.now(), -1,
+                 last_advertised_rwnd_, rwnd);
+  }
   last_advertised_rwnd_ = rwnd;
   note_advertised(rwnd);
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kWindowUpdate, sim_.now(), -1, 0, rwnd);
-  }
   if (window_update_fn_) window_update_fn_(++ack_stamp_, meta_expected_, rwnd);
 }
 
@@ -338,7 +337,7 @@ std::optional<std::string> Receiver::audit() const {
     return "recv_buf_target " + std::to_string(recv_buf_target_) +
            " above limit " + std::to_string(recv_buf_limit_);
   }
-  if (cfg_.enforce_recv_buf && buffered_bytes() > mem_liability_bytes()) {
+  if (buffered_bytes() > mem_liability_bytes()) {
     return "receive buffer overrun: unread+ooo " +
            std::to_string(buffered_bytes()) + " > liability envelope " +
            std::to_string(mem_liability_bytes());

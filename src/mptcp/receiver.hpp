@@ -81,24 +81,18 @@ class Receiver {
  public:
   struct Config {
     ReceiverModel model = ReceiverModel::kOptimized;
+    /// Receive buffer. It backs the advertised window and bounds the
+    /// reassembly buffers: a first-seen segment that would be parked out of
+    /// order when unread + held OOO bytes cannot absorb it is dropped
+    /// (kRecvBufDrop) instead of stored.
     std::int64_t recv_buf_bytes = 8 * 1024 * 1024;
     /// 0 means the application reads delivered data instantly; otherwise
     /// delivered bytes drain at this rate, shrinking the advertised window.
+    /// App reads re-advertise the window with SWS avoidance (RFC 9293
+    /// §3.8.6.2.2): only when it opens from zero or has grown >= one MSS
+    /// (1400 B) since the last advertisement; smaller advances are counted
+    /// as coalesced.
     std::int64_t app_read_bytes_per_sec = 0;
-    /// Enforce recv_buf_bytes against out-of-order data: a first-seen
-    /// segment that would be *parked* (subflow OOO queue or meta
-    /// reassembly) when unread + held OOO bytes cannot absorb it is dropped
-    /// (kRecvBufDrop) instead of stored — the reassembly buffers stop being
-    /// magically unbounded. In-order data is always accepted: it lies
-    /// inside the advertised window, which already accounts for unread
-    /// bytes. Default off = seed behaviour.
-    bool enforce_recv_buf = false;
-    /// SWS avoidance (RFC 9293 §3.8.6.2.2): only emit a window update when
-    /// the window opens from zero or has grown >= one MSS (1400 B) since the
-    /// last advertisement (updates below that threshold are counted as
-    /// coalesced). Default off = one update per 4 KB app-read chunk (seed
-    /// behaviour).
-    bool coalesce_window_updates = false;
 
     // ---- Dynamic receive-buffer sizing (DRS) ------------------------------
     /// Kernel-style receive-buffer autotuning: the *effective* buffer size
@@ -219,7 +213,7 @@ class Receiver {
   [[nodiscard]] std::int64_t ooo_bytes() const {
     return meta_ooo_bytes_ + sbf_ooo_bytes_;
   }
-  /// Total receive-buffer occupancy the enforcement bound applies to.
+  /// Total receive-buffer occupancy the buffer bound applies to.
   [[nodiscard]] std::int64_t buffered_bytes() const {
     return unread_bytes_ + ooo_bytes();
   }
@@ -270,7 +264,7 @@ class Receiver {
   /// max(target, advertised right edge - app read position). In-flight data
   /// sent against a pre-shrink advertisement is never treated as an
   /// overrun; the envelope converges back to the target as the promise is
-  /// consumed. This is the bound enforcement drops and audit() apply.
+  /// consumed. This is the bound the reassembly drops and audit() apply.
   [[nodiscard]] std::int64_t mem_liability_bytes() const {
     const std::int64_t read_pos = delivered_bytes_ - unread_bytes_;
     return std::max(recv_buf_target_, max_right_edge_bytes_ - read_pos);

@@ -417,6 +417,73 @@ TEST(FaultResilienceTest, RtoBackoffCollapsesAfterAckProgress) {
   EXPECT_EQ(conn.subflow(0).stats().deaths, 0);
 }
 
+TEST(FaultResilienceTest, FlappingPathIsProbeRevivedInsideTheFlap) {
+  // A 2 s WiFi blackout runs straight into a flapping period (200 ms down /
+  // 300 ms up until t=6 s). There is no hysteresis window: two sane echoes
+  // inside one 300 ms up period are the whole proof, so WiFi dies in the
+  // blackout and comes back while the path is still flapping. The revived
+  // subflow must survive the later flaps (probation re-kills it at worst)
+  // without losing a byte or breaking a connection invariant.
+  sim::Simulator sim;
+  mptcp::MptcpConnection::Config cfg =
+      apps::handover_config(/*rto_death_threshold=*/3);
+  cfg.trace_enabled = true;
+  cfg.trace_capacity = 1 << 20;
+  MptcpConnection conn(sim, cfg, Rng(42));
+  conn.set_scheduler(minrtt());
+
+  sim::FaultInjector faults(sim);
+  faults.blackout(conn.path(0), seconds(1), seconds(3));
+  faults.flap(conn.path(0), seconds(3), seconds(6), milliseconds(200),
+              milliseconds(300));
+
+  InvariantChecker checker;
+  mptcp::install_connection_invariants(checker, conn);
+  sim.set_post_event_hook([&checker, &sim] { checker.run(sim.now()); });
+
+  apps::CbrSource::Options opts;
+  opts.schedule = {{TimeNs{0}, 1'000'000}};
+  opts.duration = seconds(8);
+  apps::CbrSource source(sim, conn, opts);
+  source.start();
+  sim.run_until(seconds(20));
+  checker.force_run(sim.now());
+
+  TimeNs first_death{-1};
+  TimeNs first_revival{-1};
+  int sane_echoes_before_revival = 0;
+  for (const TraceEvent& e : conn.tracer().events()) {
+    if (e.subflow != 0) continue;
+    if (e.type == TraceEventType::kSubflowDead && first_death < TimeNs{0}) {
+      first_death = e.at;
+    }
+    if (e.type == TraceEventType::kSubflowRevived &&
+        first_revival < TimeNs{0}) {
+      first_revival = e.at;
+    }
+    if (e.type == TraceEventType::kProbeAcked && e.a == 1 &&
+        first_death >= TimeNs{0} && first_revival < TimeNs{0}) {
+      ++sane_echoes_before_revival;
+    }
+  }
+  // Dies in the blackout, revived by probes in the first up period of the
+  // flap ([3.2 s, 3.5 s)).
+  EXPECT_GE(first_death, seconds(1));
+  EXPECT_LT(first_death, seconds(3));
+  EXPECT_GE(first_revival, milliseconds(3200));
+  EXPECT_LT(first_revival, milliseconds(3500));
+  EXPECT_GE(sane_echoes_before_revival,
+            mptcp::PathHealthMonitor::kProbeRequiredAcks);
+  // Every death the flapping caused was healed by probing again.
+  EXPECT_GE(conn.subflow(0).stats().deaths, 1);
+  EXPECT_EQ(conn.subflow(0).stats().revivals,
+            conn.subflow(0).stats().deaths);
+  EXPECT_TRUE(conn.subflow(0).established());
+  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
+  EXPECT_GT(conn.written_bytes(), 0);
+  EXPECT_TRUE(checker.ok()) << checker.report();
+}
+
 TEST(FaultResilienceTest, RevivedThenProvenSubflowRestartsBackoffSpiral) {
   // The §5.7 reset after revival: a revived subflow starts at backoff 1 in
   // probation (one RTO re-kills it), but once it has proven itself with ACK

@@ -21,10 +21,27 @@ class SchedulerInstance final : public mptcp::Scheduler {
     program_->schedule(ctx);
   }
   [[nodiscard]] std::string name() const override { return program_->name(); }
+  [[nodiscard]] bool may_act(std::span<const mptcp::SubflowInfo> subflows,
+                             const mptcp::QueueBundle& queues) const override {
+    return program_->may_act(subflows, queues);
+  }
+  [[nodiscard]] const rt::ProgmpProgram& program() const { return *program_; }
 
  private:
   std::shared_ptr<rt::ProgmpProgram> program_;
 };
+
+/// The execution guard of the connection's scheduler: the derived guard of
+/// a ProgMP program, `always` for native schedulers.
+std::string guard_of(const mptcp::Scheduler* scheduler) {
+  if (const auto* inst = dynamic_cast<const SchedulerInstance*>(scheduler)) {
+    return inst->program().guard().str();
+  }
+  if (const auto* prog = dynamic_cast<const rt::ProgmpProgram*>(scheduler)) {
+    return prog->guard().str();
+  }
+  return "always";
+}
 
 /// [min..max] meta_seq over `queue`; [0..0] when empty.
 std::pair<std::uint64_t, std::uint64_t> seq_span(
@@ -100,10 +117,11 @@ std::string ProgmpApi::proc_stats(mptcp::MptcpConnection& conn) {
   char buf[256];
   const mptcp::SchedulerStats& st = conn.scheduler_stats();
   std::snprintf(buf, sizeof buf,
-                "scheduler: %s\nexecutions: %lld\npushes: %lld "
+                "scheduler: %s\nexecutions: %lld (elided: %lld)\npushes: %lld "
                 "(redundant: %lld, null: %lld)\npops: %lld\ndrops: %lld\n",
                 conn.scheduler() ? conn.scheduler()->name().c_str() : "(none)",
                 static_cast<long long>(st.executions),
+                static_cast<long long>(st.elided),
                 static_cast<long long>(st.pushes),
                 static_cast<long long>(st.redundant_pushes),
                 static_cast<long long>(st.null_pushes),
@@ -183,6 +201,7 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
                 static_cast<long long>(st.sched_faults),
                 conn.last_exec_backend());
   out += buf;
+  out += "guard: " + guard_of(conn.scheduler()) + "\n";
   const mptcp::MptcpConnection::Config& cc = conn.config();
   std::snprintf(buf, sizeof buf, "resilience: rto_death_threshold=%d\n",
                 cc.rto_death_threshold);

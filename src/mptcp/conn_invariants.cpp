@@ -144,20 +144,12 @@ void install_connection_invariants(InvariantChecker& checker,
       "recv_buffer_bound",
       [&conn]() -> std::optional<std::string> {
         const Receiver& rx = conn.receiver();
+        // The occupancy bound (unread + OOO within the liability envelope)
+        // is Receiver::audit()'s, checked by receiver_accounting.
         if (rx.rwnd_bytes() < 0 || conn.rwnd_bytes() < 0) {
           return "negative receive window: receiver " +
                  std::to_string(rx.rwnd_bytes()) + ", sender view " +
                  std::to_string(conn.rwnd_bytes());
-        }
-        // The occupancy bound is the liability envelope, not the raw
-        // target: after a pool reclaim shrank the buffer, data sent against
-        // the pre-shrink advertisement is still legitimate until consumed
-        // (== the static recv_buf_bytes whenever the buffer was never
-        // resized).
-        if (rx.buffered_bytes() > rx.mem_liability_bytes()) {
-          return "receive buffer overrun: unread+ooo " +
-                 std::to_string(rx.buffered_bytes()) + " > liability " +
-                 std::to_string(rx.mem_liability_bytes());
         }
         return std::nullopt;
       },

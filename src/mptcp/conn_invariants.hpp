@@ -15,9 +15,8 @@
 //    window; within one event the final pump() always sees the final cwnd,
 //    so growth beyond it is a real violation. This rule needs *consecutive*
 //    boundaries, hence the every-event class.
-//  * recv_buffer_bound — the advertised window is never negative, and
-//    unread + out-of-order bytes never exceed the receiver's liability
-//    envelope (recv_buf_bytes unless the buffer was resized);
+//  * recv_buffer_bound — the advertised window is never negative, neither
+//    the receiver's nor the sender's view of it;
 //  * sender_within_window — the transmitted right edge never *grows* past
 //    meta_una + the advertised window. Growth-gated like inflight_le_cwnd:
 //    cross-path ACK reordering can legitimately shrink the sender's window
@@ -36,7 +35,9 @@
 //    exist;
 //  * receiver_accounting — Receiver::audit(): the OOO byte counters and the
 //    has_received meta_seq index match a ground-truth recount of the
-//    reassembly queues, and the occupancy bound holds;
+//    reassembly queues, and unread + out-of-order bytes never exceed the
+//    receiver's liability envelope (recv_buf_bytes unless the buffer was
+//    resized);
 //  * no_stranded_packets — every unacked, undropped packet has an owner:
 //    waiting in Q or RQ, tracked by some subflow's queue/in-flight list, or
 //    already received by the far end (sbf-ACKed but meta-holed packets park

@@ -317,7 +317,6 @@ void MptcpConnection::deliver_window_update(std::int64_t wnd_stamp,
   // The update rides the carrier's real reverse link as a pure ACK: it
   // queues behind other ACKs, pays serialization and delay, and dies in
   // blackouts, drops or a full queue like anything on the wire.
-  ++wnd_updates_routed_;
   std::weak_ptr<int> guard{alive_};
   paths_[static_cast<std::size_t>(carrier_slot())]->reverse.send(
       SubflowSender::kAckBytes, nullptr, [this, guard, wnd_stamp, rwnd] {
@@ -517,11 +516,12 @@ void MptcpConnection::run_engine() {
     // genuine external events and must still run.
     int executions = 0;
     bool progress = true;
+    const std::int64_t runs_before = sched_stats_.executions;
     while (progress && executions < cfg_.max_executions_per_trigger) {
       ++executions;
       progress = run_scheduler_once(t);
     }
-    hist_execs_per_trigger_->add(executions);
+    hist_execs_per_trigger_->add(sched_stats_.executions - runs_before);
     if (progress) {
       // Bound hit with the scheduler still acting: abandon only the
       // re-posted continuation of this trigger.
@@ -541,6 +541,13 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
   infos_.reserve(subflows_.size());
   const TimeNs now = sim_.now();
   for (const auto& sbf : subflows_) infos_.push_back(sbf->info(now));
+
+  // Elision: the scheduler's guard proves this execution would do nothing,
+  // so nothing of it runs — no context reset, trace events or program.
+  if (!scheduler_->may_act(infos_, queues_)) {
+    ++sched_stats_.elided;
+    return false;
+  }
 
   // Free window for *new* data: advertised window minus the span already
   // claimed by the transmitted right edge. The context is long-lived
@@ -746,6 +753,7 @@ void MptcpConnection::refresh_metrics() {
   // Engine counters mirror SchedulerStats exactly — the registry is the
   // exported view, SchedulerStats stays the authoritative one.
   *metrics_.counter("engine.executions") = sched_stats_.executions;
+  *metrics_.counter("engine.elided") = sched_stats_.elided;
   *metrics_.counter("engine.pushes") = sched_stats_.pushes;
   *metrics_.counter("engine.redundant_pushes") = sched_stats_.redundant_pushes;
   *metrics_.counter("engine.null_pushes") = sched_stats_.null_pushes;
@@ -777,7 +785,7 @@ void MptcpConnection::refresh_metrics() {
   *metrics_.counter("conn.stalls") = stalls_;
   *metrics_.counter("conn.stall_rescues") = stall_rescues_;
   *metrics_.counter("conn.zero_window_probes") = zero_window_probes_;
-  *metrics_.counter("conn.wnd_updates_routed") = wnd_updates_routed_;
+  *metrics_.counter("conn.wnd_updates_routed") = wnd_updates_routed();
   *metrics_.counter("conn.wnd_updates_delivered") = wnd_updates_delivered_;
   *metrics_.counter("recv.buf_drops") = receiver_->recv_buf_drops();
   *metrics_.counter("recv.window_updates_emitted") =

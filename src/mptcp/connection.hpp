@@ -294,9 +294,10 @@ class MptcpConnection {
   [[nodiscard]] std::int64_t zero_window_probes() const {
     return zero_window_probes_;
   }
-  /// Window updates put on a reverse link / that survived it.
+  /// Window updates put on a reverse link / that survived it. Every update
+  /// the receiver emits is routed onto the carrier's reverse link.
   [[nodiscard]] std::int64_t wnd_updates_routed() const {
-    return wnd_updates_routed_;
+    return receiver_->window_updates_emitted();
   }
   [[nodiscard]] std::int64_t wnd_updates_delivered() const {
     return wnd_updates_delivered_;
@@ -455,7 +456,6 @@ class MptcpConnection {
   /// Bumped to cancel a pending probe chain (window opened, carrier gone).
   std::uint64_t persist_epoch_ = 0;
   std::int64_t zero_window_probes_ = 0;
-  std::int64_t wnd_updates_routed_ = 0;
   std::int64_t wnd_updates_delivered_ = 0;
 
   /// Last host pool pressure broadcast (0 = no pressure); see

@@ -148,7 +148,11 @@ const char* fault_kind_name(FaultKind kind);
 /// Statistics the runtime keeps per scheduler instance (exposed through the
 /// proc-style API, §4.1).
 struct SchedulerStats {
+  /// Scheduler programs actually run (elided executions excluded).
   std::int64_t executions = 0;
+  /// Executions the engine skipped because the scheduler's guard proved
+  /// they would do nothing (Scheduler::may_act).
+  std::int64_t elided = 0;
   std::int64_t pushes = 0;
   std::int64_t redundant_pushes = 0;  ///< pushes of already-sent packets
   std::int64_t null_pushes = 0;       ///< graceful no-ops (NULL packet/subflow)
@@ -383,6 +387,16 @@ class Scheduler {
 
   /// Human-readable identifier (for stats and bench tables).
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// Execution guard: false only when schedule() provably does nothing on
+  /// this state — no push (not even a counted null push), pop, drop,
+  /// register write, PRINT or fault — so the engine may skip it. Native
+  /// schedulers keep the default: they may always act.
+  [[nodiscard]] virtual bool may_act(
+      std::span<const SubflowInfo> /*subflows*/,
+      const QueueBundle& /*queues*/) const {
+    return true;
+  }
 };
 
 }  // namespace progmp::mptcp

@@ -1,6 +1,7 @@
 #include "runtime/ir_exec.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/check.hpp"
 
@@ -81,6 +82,32 @@ IrExecutable::IrExecutable(const IrProgram& program) {
     steps_.push_back(step);
   }
   regs_.assign(static_cast<std::size_t>(program.num_vregs), 0);
+}
+
+std::int64_t IrExecutable::step_bound(std::int64_t max_trips) const {
+  // depth[pc]: back-edge spans [target, jump] covering pc.
+  std::vector<int> depth(steps_.size() + 1, 0);
+  for (std::size_t pc = 0; pc < steps_.size(); ++pc) {
+    const Step& s = steps_[pc];
+    if ((s.code == Code::kJmp || s.code == Code::kJz) &&
+        s.imm <= static_cast<std::int64_t>(pc)) {
+      ++depth[static_cast<std::size_t>(s.imm)];
+      --depth[pc + 1];
+    }
+  }
+  constexpr std::int64_t kSaturated = std::numeric_limits<std::int64_t>::max();
+  std::int64_t total = 0;
+  int d = 0;
+  for (std::size_t pc = 0; pc < steps_.size(); ++pc) {
+    d += depth[pc];
+    std::int64_t runs = 1;
+    for (int i = 0; i < d; ++i) {
+      runs = runs > kSaturated / (max_trips + 1) ? kSaturated
+                                                 : runs * (max_trips + 1);
+    }
+    total = total > kSaturated - runs ? kSaturated : total + runs;
+  }
+  return total;
 }
 
 IrExecutable::RunResult IrExecutable::run(SchedulerEnv& env,

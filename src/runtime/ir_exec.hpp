@@ -31,6 +31,12 @@ class IrExecutable {
 
   [[nodiscard]] std::size_t code_size() const { return steps_.size(); }
 
+  /// Worst-case steps of one run when no loop runs more than `max_trips`
+  /// iterations per entry (saturating). Every back edge closes a loop; an
+  /// instruction inside d nested back-edge spans runs at most
+  /// (max_trips + 1)^d times.
+  [[nodiscard]] std::int64_t step_bound(std::int64_t max_trips) const;
+
   /// Approximate resident size in bytes (for the §4.3 memory table).
   [[nodiscard]] std::size_t memory_bytes() const {
     return steps_.capacity() * sizeof(Step) +

@@ -1,6 +1,9 @@
 #include "runtime/program.hpp"
 
+#include <array>
+
 #include "lang/analyzer.hpp"
+#include "lang/guard.hpp"
 #include "lang/parser.hpp"
 #include "runtime/ebpf_compiler.hpp"
 #include "runtime/ebpf_verifier.hpp"
@@ -37,6 +40,7 @@ std::unique_ptr<ProgmpProgram> ProgmpProgram::load(std::string_view spec,
       std::unique_ptr<ProgmpProgram>(new ProgmpProgram(std::move(ast), options));
 
   if (options.backend == Backend::kInterpreter) {
+    program->install_guard();
     return program;
   }
 
@@ -47,6 +51,7 @@ std::unique_ptr<ProgmpProgram> ProgmpProgram::load(std::string_view spec,
 
   if (options.backend == Backend::kCompiled) {
     program->executable_ = std::make_unique<IrExecutable>(program->ir_);
+    program->install_guard();
     return program;
   }
 
@@ -64,7 +69,57 @@ std::unique_ptr<ProgmpProgram> ProgmpProgram::load(std::string_view spec,
   }
   program->derived_insn_bound_ = verdict.derived_insn_bound;
   program->generic_code_ = std::move(compiled.code);
+  program->install_guard();
   return program;
+}
+
+void ProgmpProgram::install_guard() {
+  guard_ = cannot_fault() ? lang::derive_guard(ast_) : lang::Guard{};
+}
+
+bool ProgmpProgram::cannot_fault() const {
+  // A faulting execution runs the default scheduler, which can act where the
+  // program would not: a guard is only sound for programs that never fault.
+  if (!lang::cost_independent_of_queues(ast_)) return false;
+  switch (options_.backend) {
+    case Backend::kInterpreter:
+      return true;  // no budget, no fault path
+    case Backend::kCompiled:
+      // Every loop left runs over SUBFLOWS (<= kMaxSubflows iterations) or
+      // stops at a queue's front.
+      return executable_->step_bound(mptcp::kMaxSubflows) <=
+             options_.exec_budget;
+    case Backend::kEbpf:
+      // The verifier proved the bound against exec_budget for the generic
+      // variant, and proves it again for every specialized one it admits.
+      return derived_insn_bound_ > 0 &&
+             derived_insn_bound_ <= options_.exec_budget;
+  }
+  return false;
+}
+
+bool ProgmpProgram::may_act(std::span<const mptcp::SubflowInfo> subflows,
+                            const mptcp::QueueBundle& queues) const {
+  if (guard_.is_always()) return true;
+  std::array<std::uint8_t, mptcp::kMaxSubflows> lits{};
+  std::size_t n = 0;
+  for (const mptcp::SubflowInfo& s : subflows) {
+    if (!s.established || n == lits.size()) continue;
+    using lang::SbfLit;
+    std::uint8_t w = 0;
+    if (s.is_backup) w |= lang::lit_bit(SbfLit::kIsBackup);
+    if (s.tsq_throttled) w |= lang::lit_bit(SbfLit::kTsqThrottled);
+    if (s.lossy) w |= lang::lit_bit(SbfLit::kLossy);
+    if (s.preferred) w |= lang::lit_bit(SbfLit::kIsPreferred);
+    if (s.cwnd_free()) w |= lang::lit_bit(SbfLit::kCwndFree);
+    lits[n++] = w;
+  }
+  std::uint8_t nonempty = 0;
+  for (mptcp::QueueId id :
+       {mptcp::QueueId::kQ, mptcp::QueueId::kQu, mptcp::QueueId::kRq}) {
+    if (!queues.get(id).empty()) nonempty |= 1u << static_cast<unsigned>(id);
+  }
+  return guard_.holds({lits.data(), n}, nonempty);
 }
 
 ebpf::VerifyOptions ProgmpProgram::effective_verify_options() const {

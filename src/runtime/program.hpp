@@ -17,6 +17,7 @@
 
 #include "core/diag.hpp"
 #include "lang/ast.hpp"
+#include "lang/guard.hpp"
 #include "mptcp/scheduler.hpp"
 #include "runtime/ebpf_isa.hpp"
 #include "runtime/ebpf_verifier.hpp"
@@ -62,6 +63,15 @@ class ProgmpProgram final : public mptcp::Scheduler {
   // mptcp::Scheduler
   void schedule(mptcp::SchedulerContext& ctx) override;
   [[nodiscard]] std::string name() const override { return ast_.name; }
+  /// Evaluates the program's guard (lang/guard.hpp) over the state.
+  [[nodiscard]] bool may_act(std::span<const mptcp::SubflowInfo> subflows,
+                             const mptcp::QueueBundle& queues) const override;
+
+  /// The execution guard the engine elides executions with: derived from
+  /// the AST at load for programs that cannot fault (their step count does
+  /// not grow with queue length and stays within exec_budget), `always`
+  /// otherwise.
+  [[nodiscard]] const lang::Guard& guard() const { return guard_; }
 
   // ---- Introspection (proc-style interface, §4.1) ---------------------------
   [[nodiscard]] Backend backend() const { return options_.backend; }
@@ -101,12 +111,17 @@ class ProgmpProgram final : public mptcp::Scheduler {
 
   const ebpf::Code& code_for_count(std::int64_t sbf_count);
 
+  /// Sets guard_ once the backend artifact exists.
+  void install_guard();
+  [[nodiscard]] bool cannot_fault() const;
+
   /// LoadOptions::verify with the absint budget synced to exec_budget.
   [[nodiscard]] ebpf::VerifyOptions effective_verify_options() const;
 
   LoadOptions options_;
   std::int64_t derived_insn_bound_ = 0;
   lang::Program ast_;
+  lang::Guard guard_;
   IrProgram ir_;
   std::unique_ptr<IrExecutable> executable_;  // kCompiled backend
   ebpf::Code generic_code_;                   // kEbpf backend

@@ -3,6 +3,7 @@
 
 #include "api/progmp_api.hpp"
 #include "apps/scenarios.hpp"
+#include "sched/native.hpp"
 #include "sched/specs.hpp"
 
 namespace progmp::api {
@@ -170,6 +171,42 @@ TEST(ApiTest, ProcDumpMirrorsSchedulerStatsAndMetrics) {
   // And the registry agrees programmatically, not just textually.
   EXPECT_EQ(conn.metrics().counter_value("engine.executions"), st.executions);
   EXPECT_EQ(conn.metrics().counter_value("engine.pushes"), st.pushes);
+}
+
+TEST(ApiTest, ProcDumpShowsGuardAndElidedExecutions) {
+  sim::Simulator sim;
+  mptcp::MptcpConnection conn(sim, apps::mobile_config(true), Rng(8));
+  ProgmpApi api;
+  ASSERT_TRUE(api.load_builtin("minrtt"));
+  ASSERT_TRUE(api.set_scheduler(conn, "minrtt"));
+  conn.write(200 * 1400);
+  sim.run_until(seconds(3));
+  const mptcp::SchedulerStats& st = conn.scheduler_stats();
+  EXPECT_GT(st.elided, 0);
+  const std::string dump = ProgmpApi::proc_dump(conn);
+  EXPECT_NE(dump.find("executions: " + std::to_string(st.executions) +
+                      " (elided: " + std::to_string(st.elided) + ")\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("engine.elided " + std::to_string(st.elided)),
+            std::string::npos);
+  EXPECT_NE(dump.find("guard: " + api.find("minrtt")->guard().str() + "\n"),
+            std::string::npos);
+  EXPECT_EQ(conn.metrics().counter_value("engine.elided"), st.elided);
+
+  // A program whose cost grows with queue length has no guard, and neither
+  // has a native scheduler.
+  mptcp::MptcpConnection other(sim, apps::mobile_config(true), Rng(9));
+  ASSERT_TRUE(api.load_builtin("redundant"));
+  ASSERT_TRUE(api.set_scheduler(other, "redundant"));
+  EXPECT_NE(ProgmpApi::proc_dump(other).find("guard: always\n"),
+            std::string::npos);
+  other.set_scheduler(sched::make_native_minrtt());
+  other.write(20 * 1400);
+  sim.run_until(seconds(4));
+  EXPECT_NE(ProgmpApi::proc_dump(other).find("guard: always\n"),
+            std::string::npos);
+  EXPECT_EQ(other.scheduler_stats().elided, 0);
 }
 
 TEST(ApiTest, ProcDumpReportsTraceOverflowAndPathHealthKnobs) {

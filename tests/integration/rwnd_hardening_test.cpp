@@ -9,6 +9,7 @@
 #include "apps/scenarios.hpp"
 #include "core/rng.hpp"
 #include "core/trace.hpp"
+#include "mptcp/conn_invariants.hpp"
 #include "mptcp/connection.hpp"
 #include "mptcp/receiver.hpp"
 #include "sched/native.hpp"
@@ -325,6 +326,49 @@ TEST(RecvBufEnforcementTest, SoleCopyDropIsRecoveredByRetransmission) {
   EXPECT_GT(sole_copy_drops, 0);
   EXPECT_GT(rto_fires, 0);
   EXPECT_EQ(conn.receiver().audit(), std::nullopt);
+}
+
+TEST(RecvBufEnforcementTest, OverrunIsReportedByReceiverAccounting) {
+  // A sender that ignores the window: data held out of order on subflow 1
+  // (multi-layer model), then in-order data on subflow 0 far past the
+  // advertised window. In-order data is always accepted, so occupancy
+  // exceeds the liability envelope, and the receiver's own audit — the
+  // receiver_accounting invariant — must say so. recv_buffer_bound only
+  // checks the window signs.
+  sim::Simulator sim;
+  auto cfg = apps::lossy_config(0.0);
+  cfg.receiver.model = ReceiverModel::kMultiLayer;
+  cfg.receiver.recv_buf_bytes = 4 * 1400;
+  cfg.receiver.app_read_bytes_per_sec = 1'000;  // no read before sim runs
+  MptcpConnection conn(sim, cfg, Rng(5));
+  conn.set_scheduler(sched::make_native_minrtt());
+  InvariantChecker checker;
+  install_connection_invariants(checker, conn);
+
+  const auto seg = [](int sbf, std::uint64_t sbf_seq, std::uint64_t meta) {
+    DataSegment s;
+    s.sbf_slot = sbf;
+    s.sbf_seq = sbf_seq;
+    s.meta_seq = meta;
+    s.size = 1400;
+    return s;
+  };
+  Receiver& rx = conn.receiver();
+  rx.on_data(seg(1, 1, 50));  // subflow-level hold: sbf_seq 0 is missing
+  for (std::uint64_t i = 0; i < 10; ++i) rx.on_data(seg(0, i, i));
+  ASSERT_GT(rx.buffered_bytes(), rx.mem_liability_bytes());
+
+  checker.force_run(sim.now());
+  bool accounting = false;
+  for (const auto& v : checker.violations()) {
+    EXPECT_NE(v.check, "recv_buffer_bound") << v.detail;
+    if (v.check == "receiver_accounting") {
+      accounting = true;
+      EXPECT_NE(v.detail.find("receive buffer overrun"), std::string::npos)
+          << v.detail;
+    }
+  }
+  EXPECT_TRUE(accounting);
 }
 
 // ---- SWS window-update coalescing -------------------------------------------

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "../testutil.hpp"
-#include "core/rng.hpp"
 #include "sched/specs.hpp"
 
 namespace progmp {
@@ -19,48 +18,6 @@ using test::FakeEnv;
 using test::must_load;
 using mptcp::QueueId;
 using rt::Backend;
-
-/// Fills a randomized but deterministic environment from a seed. (In-place:
-/// FakeEnv owns non-movable PacketQueues.)
-void make_env(FakeEnv& env, std::uint64_t seed) {
-  Rng rng(seed);
-  const int num_subflows = static_cast<int>(rng.next_range(0, 4));
-  for (int i = 0; i < num_subflows; ++i) {
-    auto& sbf = env.add_subflow("s" + std::to_string(i),
-                                rng.next_range(1'000, 80'000),
-                                rng.next_range(1, 20), rng.chance(0.3));
-    sbf.skbs_in_flight = rng.next_range(0, 15);
-    sbf.queued = rng.next_range(0, 5);
-    sbf.tsq_throttled = rng.chance(0.2);
-    sbf.lossy = rng.chance(0.2);
-    sbf.preferred = rng.chance(0.7);
-    sbf.delivery_rate_bps = static_cast<double>(rng.next_range(0, 4'000'000));
-    sbf.capacity_bps = static_cast<double>(rng.next_range(0, 8'000'000));
-    sbf.established_at = milliseconds(rng.next_range(0, 100));
-    sbf.last_tx_at = milliseconds(rng.next_range(0, 100));
-  }
-  const auto fill = [&](QueueId q, std::int64_t max_packets) {
-    const std::int64_t n = rng.next_range(0, max_packets);
-    for (std::int64_t i = 0; i < n; ++i) {
-      mptcp::SkbProps props;
-      props.prop1 = rng.next_range(0, 3);
-      props.flow_end = rng.chance(0.1);
-      auto skb = env.add_packet(
-          q, static_cast<std::int32_t>(rng.next_range(100, 1400)), props);
-      // Random sent-on history for QU packets.
-      if (q == QueueId::kQu) {
-        for (int s = 0; s < num_subflows; ++s) {
-          if (rng.chance(0.5)) skb->mark_sent_on(s, env.now);
-        }
-      }
-    }
-  };
-  fill(QueueId::kQ, 6);
-  fill(QueueId::kQu, 8);
-  fill(QueueId::kRq, 3);
-  for (auto& reg : env.registers) reg = rng.next_range(0, 4'000'000);
-  env.now = milliseconds(rng.next_range(100, 10'000));
-}
 
 /// Observable outcome of one scheduler execution.
 struct Outcome {
@@ -100,7 +57,7 @@ void record_queues(const FakeEnv& env, Outcome& outcome) {
 Execution run_backend(std::string_view spec, Backend backend,
                       std::uint64_t seed, std::int64_t exec_budget = 0) {
   FakeEnv env;
-  make_env(env, seed);
+  test::make_random_env(env, seed);
   DiagSink diags;
   rt::ProgmpProgram::LoadOptions options;
   options.backend = backend;
@@ -186,7 +143,7 @@ TEST_P(ConstructEquivalence, AllBackendsAgree) {
     const Execution reference = run_backend(spec, Backend::kInterpreter, seed);
     EXPECT_FALSE(reference.faulted);
     FakeEnv untouched;
-    make_env(untouched, seed);
+    test::make_random_env(untouched, seed);
     Outcome before;
     record_queues(untouched, before);
     for (Backend backend : {Backend::kCompiled, Backend::kEbpf}) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rng.hpp"
 #include "mptcp/scheduler.hpp"
 #include "mptcp/skb.hpp"
 #include "runtime/program.hpp"
@@ -72,6 +73,51 @@ class FakeEnv {
   TimeNs now{milliseconds(100)};
   std::uint64_t next_seq = 0;
 };
+
+/// Fills a randomized but deterministic environment from a seed: up to four
+/// subflows with random windows, flags and rates, random Q/QU/RQ contents
+/// (QU packets with a random sent-on history), registers and clock.
+/// (In-place: FakeEnv owns non-movable PacketQueues.)
+inline void make_random_env(FakeEnv& env, std::uint64_t seed) {
+  using mptcp::QueueId;
+  Rng rng(seed);
+  const int num_subflows = static_cast<int>(rng.next_range(0, 4));
+  for (int i = 0; i < num_subflows; ++i) {
+    auto& sbf = env.add_subflow("random",
+                                rng.next_range(1'000, 80'000),
+                                rng.next_range(1, 20), rng.chance(0.3));
+    sbf.skbs_in_flight = rng.next_range(0, 15);
+    sbf.queued = rng.next_range(0, 5);
+    sbf.tsq_throttled = rng.chance(0.2);
+    sbf.lossy = rng.chance(0.2);
+    sbf.preferred = rng.chance(0.7);
+    sbf.delivery_rate_bps = static_cast<double>(rng.next_range(0, 4'000'000));
+    sbf.capacity_bps = static_cast<double>(rng.next_range(0, 8'000'000));
+    sbf.established_at = milliseconds(rng.next_range(0, 100));
+    sbf.last_tx_at = milliseconds(rng.next_range(0, 100));
+  }
+  const auto fill = [&](QueueId q, std::int64_t max_packets) {
+    const std::int64_t n = rng.next_range(0, max_packets);
+    for (std::int64_t i = 0; i < n; ++i) {
+      mptcp::SkbProps props;
+      props.prop1 = rng.next_range(0, 3);
+      props.flow_end = rng.chance(0.1);
+      auto skb = env.add_packet(
+          q, static_cast<std::int32_t>(rng.next_range(100, 1400)), props);
+      // Random sent-on history for QU packets.
+      if (q == QueueId::kQu) {
+        for (int s = 0; s < num_subflows; ++s) {
+          if (rng.chance(0.5)) skb->mark_sent_on(s, env.now);
+        }
+      }
+    }
+  };
+  fill(QueueId::kQ, 6);
+  fill(QueueId::kQu, 8);
+  fill(QueueId::kRq, 3);
+  for (auto& reg : env.registers) reg = rng.next_range(0, 4'000'000);
+  env.now = milliseconds(rng.next_range(100, 10'000));
+}
 
 /// Compiles a spec or fails the test with the diagnostics.
 inline std::unique_ptr<rt::ProgmpProgram> must_load(
